@@ -84,7 +84,8 @@ hashRegs(const ThreadRegs &r)
 }
 
 /** Digest of the kernel's public observable counters — the cheap
- *  whole-system fingerprint checked at every quiescent point. */
+ *  whole-system fingerprint checked at every quiescent point.  Every
+ *  field of every counter set goes in, through its visit(). */
 u64
 hashStats(Kernel &kern)
 {
@@ -92,36 +93,15 @@ hashStats(Kernel &kern)
     fnv(h, kern.physMem().totalAllocated());
     fnv(h, kern.physMem().failedAllocs());
     fnv(h, kern.physMem().reclaimRequests());
-    const Kernel::MemPressureStats &mp = kern.memPressure();
-    fnv(h, mp.reclaimPasses);
-    fnv(h, mp.pagesReclaimed);
-    fnv(h, mp.oomKills);
-    fnv(h, mp.enomemErrors);
-    const Kernel::FdIoStats &fdio = kern.fdIoStats();
-    fnv(h, fdio.blocks);
-    fnv(h, fdio.wakes);
-    fnv(h, fdio.eagainErrors);
-    fnv(h, fdio.epipeErrors);
-    fnv(h, fdio.partialWrites);
-    fnv(h, fdio.selectTimeouts);
-    const Kernel::RevocationStats &rv = kern.revocationStats();
-    fnv(h, rv.epochsOpened);
-    fnv(h, rv.epochsClosed);
-    fnv(h, rv.epochsAborted);
-    fnv(h, rv.pagesScanned);
-    fnv(h, rv.tagsRevoked);
-    const Kernel::HardeningStats &hd = kern.hardeningStats();
-    fnv(h, hd.panics);
-    fnv(h, hd.deadlocksDetected);
-    fnv(h, hd.deadlocksKilled);
-    fnv(h, hd.machineChecks);
-    if (const SchedStats *ss = kern.schedulerStats()) {
-        fnv(h, ss->contextSwitches);
-        fnv(h, ss->preemptions);
-        fnv(h, ss->slices);
-        fnv(h, ss->wakes);
-        fnv(h, ss->stepsExecuted);
-    }
+    auto hashSet = [&h](auto set) {
+        set.visit([&h](std::string_view, u64 &v) { fnv(h, v); });
+    };
+    hashSet(kern.memPressure());
+    hashSet(kern.fdIoStats());
+    hashSet(kern.revocationStats());
+    hashSet(kern.hardeningStats());
+    if (const SchedStats *ss = kern.schedulerStats())
+        hashSet(*ss);
     return h;
 }
 

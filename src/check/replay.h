@@ -68,7 +68,8 @@ class ReplaySession : public FaultTap
         Replay,
     };
 
-    static constexpr u32 logVersion = 1;
+    /** v2: the quiescent-point digest hashes every counter-set field. */
+    static constexpr u32 logVersion = 2;
 
     explicit ReplaySession(Mode mode) : _mode(mode) {}
 

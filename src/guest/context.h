@@ -226,7 +226,9 @@ class StackFrame
  * Run @p fn as the body of @p ctx's process.  Capability traps become
  * SIG_PROT: delivered to a registered handler if any (the guest function
  * is still unwound), fatal otherwise.  Returns the process exit status
- * (fn's return value on a clean run, 128+signal on death).
+ * (fn's return value on a clean run, 128+signal on death).  A clean run
+ * ends in exitProcess, which releases the address space: read guest
+ * memory inside @p fn, not after it.
  */
 int runGuest(GuestContext &ctx, const std::function<int(GuestContext &)> &fn);
 

@@ -134,18 +134,41 @@ Metrics::reset()
     _faults.clear();
     faultsDropped = 0;
     faultsByCause = {};
-    mem = {};
-    rev = {};
-    schd = {};
-    fdio = {};
     _threadSteps.clear();
     chk = {};
     snp = {};
-    hard = {};
     costs.clear();
     deriveCounts = {};
     provenance.clear();
     currentSys = 0;
+    kept = {};
+}
+
+void
+Metrics::bind(CounterOwner &kern)
+{
+    if (bound && bound != &kern)
+        kept.add(*bound);
+    bound = &kern;
+    if (std::find(owners.begin(), owners.end(), &kern) == owners.end())
+        owners.push_back(&kern);
+}
+
+void
+Metrics::unbind(CounterOwner &kern)
+{
+    if (bound == &kern) {
+        kept.add(kern);
+        bound = nullptr;
+    }
+    owners.erase(std::remove(owners.begin(), owners.end(), &kern),
+                 owners.end());
+}
+
+Metrics::~Metrics()
+{
+    for (CounterOwner *kern : owners)
+        kern->metricsDestroyed();
 }
 
 namespace
@@ -174,6 +197,14 @@ emitHistogram(JsonWriter &w, const Histogram &h)
 }
 
 constexpr Abi allAbis[] = {Abi::Mips64, Abi::CheriAbi, Abi::Hybrid};
+
+/** A counter set's fields as members of the open JSON object. */
+template <class S>
+void
+emitFields(JsonWriter &w, S set)
+{
+    set.visit([&](std::string_view key, u64 &v) { w.key(key).value(v); });
+}
 
 } // namespace
 
@@ -278,43 +309,27 @@ Metrics::toJson() const
     }
     w.endArray();
 
+    // The kernel counter sets: retained totals plus the bound kernel's
+    // live counters.
+    CounterTotals k = kept;
+    if (bound)
+        k.add(*bound);
+
     // Memory-pressure counters (v3 schema addition).
     w.key("memory").beginObject();
-    w.key("reclaim_passes").value(mem.reclaimPasses);
-    w.key("pages_reclaimed").value(mem.pagesReclaimed);
-    w.key("oom_kills").value(mem.oomKills);
-    w.key("enomem").value(mem.enomemErrors);
+    emitFields(w, k.mem);
     w.endObject();
 
     // Revocation-epoch counters (v5 schema addition).
     w.key("revocation").beginObject();
-    w.key("epochs_opened").value(rev.epochsOpened);
-    w.key("epochs_closed").value(rev.epochsClosed);
-    w.key("epochs_aborted").value(rev.epochsAborted);
-    w.key("pages_scanned").value(rev.pagesScanned);
-    w.key("pages_skipped_clean").value(rev.pagesSkippedClean);
-    w.key("granules_visited").value(rev.granulesVisited);
-    w.key("tags_revoked").value(rev.tagsRevoked);
-    w.key("incremental_slices").value(rev.incrementalSlices);
-    w.key("sync_sweeps").value(rev.syncSweeps);
-    w.key("cycles_in_epochs").value(rev.cyclesInEpochs);
+    emitFields(w, k.rev);
     w.endObject();
 
     // Scheduler counters (v6 schema addition).  decode_hit_rate is the
     // fraction of instruction fetches served by the per-context decode
     // micro-caches — the retention the unified engine buys.
     w.key("sched").beginObject();
-    w.key("context_switches").value(schd.contextSwitches);
-    w.key("preemptions").value(schd.preemptions);
-    w.key("slices").value(schd.slices);
-    w.key("blocks_wait4").value(schd.blocksWait4);
-    w.key("blocks_event").value(schd.blocksEvent);
-    w.key("blocks_sleep").value(schd.blocksSleep);
-    w.key("blocks_fd").value(schd.blocksFd);
-    w.key("wakes").value(schd.wakes);
-    w.key("max_run_queue_depth").value(schd.maxRunQueueDepth);
-    w.key("idle_advances").value(schd.idleAdvances);
-    w.key("steps_executed").value(schd.stepsExecuted);
+    emitFields(w, k.sched);
     {
         u64 hits = 0, misses = 0;
         for (Abi abi : allAbis) {
@@ -341,12 +356,7 @@ Metrics::toJson() const
     // Blocking FD I/O counters (v7 schema addition): how often the
     // pipe/pty/select paths parked, woke, or degraded to E_AGAIN.
     w.key("fd").beginObject();
-    w.key("blocks").value(fdio.blocks);
-    w.key("wakes").value(fdio.wakes);
-    w.key("eagain_errors").value(fdio.eagainErrors);
-    w.key("epipe_errors").value(fdio.epipeErrors);
-    w.key("partial_writes").value(fdio.partialWrites);
-    w.key("select_timeouts").value(fdio.selectTimeouts);
+    emitFields(w, k.fd);
     w.endObject();
 
     // Checking-layer counters (v4 schema addition).
@@ -372,10 +382,7 @@ Metrics::toJson() const
     // Kernel-hardening counters (v9 schema addition): structured
     // panics, deadlock-watchdog verdicts, machine-check degradations.
     w.key("hardening").beginObject();
-    w.key("panics").value(hard.panics);
-    w.key("deadlocks_detected").value(hard.deadlocksDetected);
-    w.key("deadlocks_killed").value(hard.deadlocksKilled);
-    w.key("machine_checks").value(hard.machineChecks);
+    emitFields(w, k.hard);
     w.endObject();
 
     w.key("derives").beginObject();

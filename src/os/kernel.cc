@@ -62,6 +62,9 @@ Kernel::Kernel(KernelConfig cfg)
 
 Kernel::~Kernel()
 {
+    // The scheduler is still alive here: the registry folds its
+    // counters along with the kernel's.
+    setMetrics(nullptr);
     panic::popSink(this);
 }
 
@@ -93,8 +96,6 @@ Kernel::reclaimFrames(u64 wanted, const void *requester)
     }
     ++pressure.reclaimPasses;
     pressure.pagesReclaimed += freed;
-    if (mx)
-        mx->recordReclaim(freed);
     if (freed >= wanted)
         return freed;
     // Eviction could not keep up (swap full, or everything left is
@@ -125,12 +126,10 @@ void
 Kernel::oomKill(Process &victim)
 {
     ++pressure.oomKills;
-    if (mx) {
-        mx->recordOomKill();
+    if (mx)
         mx->recordFault(CapFault::MemoryExhausted,
                         victim.regs().pcc.address(), 0, nullptr,
                         victim.abi());
-    }
     DeathInfo di;
     di.signal = SIG_KILL;
     di.fault = CapFault::MemoryExhausted;
@@ -153,8 +152,6 @@ SysResult
 Kernel::failNoMem()
 {
     ++pressure.enomemErrors;
-    if (mx)
-        mx->recordEnomem();
     return SysResult::fail(E_NOMEM);
 }
 
@@ -176,11 +173,23 @@ Kernel::spawn(Abi abi, const std::string &name)
 void
 Kernel::setMetrics(obs::Metrics *m)
 {
+    if (mx && mx != m)
+        mx->unbind(*this);
     mx = m;
+    if (mx)
+        mx->bind(*this);
     for (auto &[pid, p] : procs) {
         p->mem().setCounterBlock(mx ? mx->tlbCounterBlock(p->abi())
                                     : nullptr);
     }
+}
+
+void
+Kernel::metricsDestroyed()
+{
+    // Forget the registry without unbinding: it is being destroyed.
+    mx = nullptr;
+    setMetrics(nullptr);
 }
 
 Process *
@@ -638,8 +647,6 @@ Kernel::fireFdEdge(u64 chan)
         return;
     recorder.record(panic::EventKind::WakeEdge, chan, woken);
     fdStats.wakes += woken;
-    if (mx)
-        mx->recordFdWake(woken);
 }
 
 void
@@ -734,8 +741,6 @@ Kernel::onKassert(const panic::KassertInfo &info)
     }
     panicInProgress = true;
     ++hardStats.panics;
-    if (mx)
-        mx->recordKernelPanic();
     recorder.record(panic::EventKind::Panic,
                     static_cast<u64>(info.line), lastDispatchCode,
                     quiescentSeq);
@@ -832,13 +837,10 @@ Kernel::panicReset()
     swap.resetAccounting();
     fs = Vfs();
     initVfs();
-    if (mx) {
-        // The registry now mirrors an empty kernel — except for the
-        // hardening counters, which deliberately survive the reset.
+    // The registry starts over with the empty kernel; it reads the
+    // hardening counters, which deliberately survive, from here.
+    if (mx)
         mx->reset();
-        mx->seedHardening(kept.panics, kept.deadlocksDetected,
-                          kept.deadlocksKilled, kept.machineChecks);
-    }
     hardStats = kept;
     // The flight recorder keeps rolling across the reset: its ring is
     // the postmortem trail of what led here.
@@ -850,8 +852,6 @@ void
 Kernel::noteMachineCheck(FaultPoint point, u64 addr)
 {
     ++hardStats.machineChecks;
-    if (mx)
-        mx->recordMachineCheck();
     recorder.record(panic::EventKind::MachineCheck, addr,
                     static_cast<u64>(point));
 }
@@ -891,8 +891,6 @@ void
 Kernel::noteDeadlockDetected(u64 stuck_contexts)
 {
     ++hardStats.deadlocksDetected;
-    if (mx)
-        mx->recordDeadlockDetected();
     recorder.record(panic::EventKind::Watchdog, stuck_contexts, 0);
 }
 
@@ -900,8 +898,6 @@ void
 Kernel::deadlockKill(Process &victim, const std::string &why)
 {
     ++hardStats.deadlocksKilled;
-    if (mx)
-        mx->recordDeadlockKill();
     recorder.record(panic::EventKind::Watchdog, 0, victim.pid());
     DeathInfo di;
     di.signal = SIG_KILL;

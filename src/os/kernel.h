@@ -28,6 +28,7 @@
 #include "os/process.h"
 #include "os/revocation.h"
 #include "os/sched_iface.h"
+#include "os/stats.h"
 #include "os/sysnum.h"
 #include "os/user_ptr.h"
 #include "trace/trace.h"
@@ -167,79 +168,18 @@ struct KernelConfig
     u64 flightRecorderDepth = 64;
 };
 
-class Kernel : private panic::Sink
+class Kernel final : private panic::Sink, public CounterOwner
 {
   public:
     explicit Kernel(KernelConfig cfg = {});
     ~Kernel();
 
-    /** Memory-pressure accounting (mirrored into Metrics when one is
-     *  attached). */
-    struct MemPressureStats
-    {
-        u64 reclaimPasses = 0;
-        u64 pagesReclaimed = 0;
-        u64 oomKills = 0;
-        /** Syscall-level E_NOMEM failures caused by memory pressure. */
-        u64 enomemErrors = 0;
-    };
-
-    /** Blocking-FD-I/O accounting (mirrored into Metrics when one is
-     *  attached; schema v7 "fd" section). */
-    struct FdIoStats
-    {
-        /** Contexts parked by read/write/select would-block. */
-        u64 blocks = 0;
-        /** Contexts woken by an FD wake edge (data, space, close). */
-        u64 wakes = 0;
-        /** Would-block reported to the caller (O_NONBLOCK or no
-         *  scheduler context to park). */
-        u64 eagainErrors = 0;
-        /** Writes failed with EPIPE (reader side gone). */
-        u64 epipeErrors = 0;
-        /** Channel writes that transferred fewer bytes than asked
-         *  (caller loops; the next write blocks or E_AGAINs). */
-        u64 partialWrites = 0;
-        /** Blocked selects woken by their timeout, not readiness. */
-        u64 selectTimeouts = 0;
-    };
-
-    /** Revocation accounting (mirrored into Metrics when one is
-     *  attached). */
-    struct RevocationStats
-    {
-        u64 epochsOpened = 0;
-        u64 epochsClosed = 0;
-        /** Epochs torn down without closing (exit/execve/OOM kill). */
-        u64 epochsAborted = 0;
-        u64 pagesScanned = 0;
-        /** Content pages an epoch skipped because cap-clean. */
-        u64 pagesSkippedClean = 0;
-        u64 granulesVisited = 0;
-        u64 tagsRevoked = 0;
-        u64 incrementalSlices = 0;
-        u64 syncSweeps = 0;
-        /** Modelled cycles charged inside epochs (open to close). */
-        u64 cyclesInEpochs = 0;
-    };
-
-    /** Kernel-hardening accounting (mirrored into Metrics when one is
-     *  attached; schema v9 "hardening" section). */
-    struct HardeningStats
-    {
-        /** CHERI_KASSERT failures captured by the structured panic
-         *  path (snapshot + report + transactional reset, never a
-         *  host abort). */
-        u64 panics = 0;
-        /** Scheduler idle passes whose watchdog scan found a
-         *  non-empty stuck set (wait-for cycle or orphaned wait). */
-        u64 deadlocksDetected = 0;
-        /** Victims killed under DeadlockPolicy::Kill. */
-        u64 deadlocksKilled = 0;
-        /** Injected memory corruption events detected and degraded to
-         *  a guest-visible CapFault::MachineCheck. */
-        u64 machineChecks = 0;
-    };
+    /** The kernel's counter sets (os/stats.h), under their historic
+     *  Kernel:: names. */
+    using MemPressureStats = cheri::MemPressureStats;
+    using FdIoStats = cheri::FdIoStats;
+    using RevocationStats = cheri::RevocationStats;
+    using HardeningStats = cheri::HardeningStats;
 
     /** @name Subsystems */
     /// @{
@@ -248,10 +188,23 @@ class Kernel : private panic::Sink
     /** Deterministic failure injection for the frame-allocation,
      *  swap-out, and swap-in choke points. */
     FaultInjector &faultInjector() { return injector; }
-    const MemPressureStats &memPressure() const { return pressure; }
-    const FdIoStats &fdIoStats() const { return fdStats; }
-    const RevocationStats &revocationStats() const { return revStats; }
-    const HardeningStats &hardeningStats() const { return hardStats; }
+    /** @name Counter sets: the only copy; an attached Metrics registry
+     *  reads them through CounterOwner. */
+    /// @{
+    const MemPressureStats &memPressure() const override
+    {
+        return pressure;
+    }
+    const FdIoStats &fdIoStats() const override { return fdStats; }
+    const RevocationStats &revocationStats() const override
+    {
+        return revStats;
+    }
+    const HardeningStats &hardeningStats() const override
+    {
+        return hardStats;
+    }
+    /// @}
     /** The kernel-event flight recorder (syscalls, sched edges, fault
      *  decisions, watchdog verdicts, machine checks); its ring is
      *  dumped into every panic report. */
@@ -264,7 +217,9 @@ class Kernel : private panic::Sink
     TraceSink *trace() const { return traceSink; }
     /** Attach/detach the observability registry (nullable; costs one
      *  branch per syscall/fault when absent).  Also (re)wires every
-     *  live process's MemAccess TLB counter block. */
+     *  live process's MemAccess TLB counter block.  The registry binds
+     *  to this kernel's counter sets; the previous registry, if any,
+     *  keeps this kernel's counts in its retained totals. */
     void setMetrics(obs::Metrics *m);
     obs::Metrics *metrics() const { return mx; }
     /// @}
@@ -369,9 +324,8 @@ class Kernel : private panic::Sink
     /** Install (replacing any previous) and take ownership. */
     void installScheduler(std::unique_ptr<SchedulerIface> s);
     SchedulerIface *scheduler() const { return schedIface; }
-    /** Scheduler counters for the oracle's metrics-mirror rule
-     *  (nullptr when no scheduler is installed). */
-    const SchedStats *schedulerStats() const
+    /** Scheduler counters (nullptr when no scheduler is installed). */
+    const SchedStats *schedulerStats() const override
     {
         return schedIface ? &schedIface->stats() : nullptr;
     }
@@ -413,8 +367,7 @@ class Kernel : private panic::Sink
      * scheduler contexts retired, processes destroyed (frames and swap
      * slots returned), VFS/shm/kqueue/epoch tables rebuilt empty, and
      * injector arms cleared.  Hardening counters and the captured
-     * panic report survive; an attached Metrics registry is reset and
-     * re-mirrored.
+     * panic report survive; an attached Metrics registry is reset.
      */
     void panicReset();
     /** True when a panic has been captured (report + image valid). */
@@ -689,6 +642,9 @@ class Kernel : private panic::Sink
   private:
     /** Checkpoint/restore reaches every private table. */
     friend struct snap::Access;
+
+    /** CounterOwner: the attached registry is going away. */
+    void metricsDestroyed() override;
 
     struct ShmSegment
     {

@@ -29,7 +29,6 @@
 
 #include <algorithm>
 
-#include "obs/metrics.h"
 
 namespace cheri
 {
@@ -190,8 +189,6 @@ Kernel::openEpoch(Process &proc, std::vector<std::pair<u64, u64>> ranges,
     u64 skipped = ep.forceFull ? 0 : content - work.size();
     ++revStats.epochsOpened;
     revStats.pagesSkippedClean += skipped;
-    if (mx)
-        mx->recordRevokeEpochOpened(skipped);
     return SysResult::ok(0);
 }
 
@@ -236,8 +233,6 @@ Kernel::runRevocationSlice(Process &proc, RevocationEpoch &ep,
     revStats.tagsRevoked += revoked;
     if (ep.incremental)
         ++revStats.incrementalSlices;
-    if (mx)
-        mx->recordRevokeSlice(scanned, granules, revoked, ep.incremental);
     if (ep.worklist.empty())
         closeRevocationEpoch(proc, ep);
     return scanned;
@@ -266,8 +261,6 @@ Kernel::closeRevocationEpoch(Process &proc, RevocationEpoch &ep)
     revStats.pagesScanned += sh.pages;
     revStats.granulesVisited += sh.granules;
     revStats.tagsRevoked += sh.revoked;
-    if (mx && sh.pages != 0)
-        mx->recordRevokeSlice(sh.pages, sh.granules, sh.revoked, false);
 
     u64 root_revoked = 0;
     for (auto &scan : revScans) {
@@ -293,8 +286,6 @@ Kernel::closeRevocationEpoch(Process &proc, RevocationEpoch &ep)
     ++revStats.epochsClosed;
     revStats.tagsRevoked += root_revoked;
     revStats.cyclesInEpochs += cycle_delta;
-    if (mx)
-        mx->recordRevokeEpochClosed(root_revoked, cycle_delta);
 }
 
 SysResult
@@ -312,8 +303,6 @@ Kernel::driveEpochToClose(Process &proc, RevocationEpoch &ep)
         }
     }
     ++revStats.syncSweeps;
-    if (mx)
-        mx->recordRevokeSync();
     return SysResult::ok(ep.revoked);
 }
 
@@ -339,8 +328,6 @@ Kernel::abortRevocationEpoch(Process &proc)
     // Deliberately no closedRanges/closeSeq update: this epoch proved
     // nothing, and the oracle must not treat its ranges as revoked.
     ++revStats.epochsAborted;
-    if (mx)
-        mx->recordRevokeEpochAborted();
 }
 
 SysResult

@@ -7,8 +7,8 @@
  * bits and per-granule tag metadata), physical frames, swap slots with
  * refcounts, the VFS tree with pipe channels and wait tokens, the
  * scheduler's run queue and per-context capability register files
- * (tags intact), open revocation epochs, fault-injector arms, and the
- * metrics mirror — into one versioned binary image.  Restoring the
+ * (tags intact), open revocation epochs, fault-injector arms, and what
+ * the attached metrics registry owns — into one versioned binary image.  Restoring the
  * image into a Kernel rebuilds all of it bit-exactly; because the
  * system is fully deterministic (virtual clock, instruction-boundary
  * preemption, seeded injection), a restored system continues exactly
@@ -59,10 +59,11 @@ namespace snap
 struct Access;
 
 /** Image format version (bumped on any layout change).
- *  v2: DeathInfo::deadlock, Kernel::HardeningStats, and the metrics
- *  hardening mirror (the watchdog / structured-panic / machine-check
- *  counters). */
-constexpr u32 imageVersion = 2;
+ *  v2: DeathInfo::deadlock and Kernel::HardeningStats.
+ *  v3: the metrics section carries only registry-owned data (the
+ *  kernel's counter sets live in the kernel section alone), plus the
+ *  registry's totals retained from detached kernels. */
+constexpr u32 imageVersion = 3;
 
 /**
  * Serialize @p kern's complete state.  Returns the image, or an empty

@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "obs/metrics.h"
 
 namespace cheri
 {
@@ -75,13 +74,9 @@ Kernel::sysRead(Process &proc, int fd, const UserPtr &buf, u64 len)
             schedIface->blockCurrentFd(
                 proc, FdWait{{of->node->readCh->readWait}, false, 0})) {
             ++fdStats.blocks;
-            if (mx)
-                mx->recordFdBlock();
             return SysResult::fail(E_INTR);
         }
         ++fdStats.eagainErrors;
-        if (mx)
-            mx->recordFdEagain();
         return SysResult::fail(E_AGAIN);
     }
     if (n < 0)
@@ -116,8 +111,6 @@ Kernel::sysWrite(Process &proc, int fd, const UserPtr &buf, u64 len)
         // bare die(); a handler runs immediately; Ignore/masked just
         // leaves the errno.
         ++fdStats.epipeErrors;
-        if (mx)
-            mx->recordFdEpipe();
         bool masked = (proc.sigMask >> SIG_PIPE) & 1;
         if (!masked &&
             proc.sigaction(SIG_PIPE).kind == SigAction::Kind::Default) {
@@ -140,13 +133,9 @@ Kernel::sysWrite(Process &proc, int fd, const UserPtr &buf, u64 len)
             schedIface->blockCurrentFd(
                 proc, FdWait{{of->node->writeCh->writeWait}, false, 0})) {
             ++fdStats.blocks;
-            if (mx)
-                mx->recordFdBlock();
             return SysResult::fail(E_INTR);
         }
         ++fdStats.eagainErrors;
-        if (mx)
-            mx->recordFdEagain();
         return SysResult::fail(E_AGAIN);
     }
     if (n < 0)
@@ -156,8 +145,6 @@ Kernel::sysWrite(Process &proc, int fd, const UserPtr &buf, u64 len)
             // Short write into the tail of the buffer: the caller's
             // next write (of the remainder) is the one that blocks.
             ++fdStats.partialWrites;
-            if (mx)
-                mx->recordFdPartialWrite();
         }
         fireFdEdge(of->node->writeCh->readWait);
     }
@@ -310,15 +297,11 @@ Kernel::sysSelect(Process &proc, int nfds, const UserPtr &readfds,
         bool timedOut = schedIface && schedIface->consumeFdTimeout(proc);
         if (timedOut) {
             ++fdStats.selectTimeouts;
-            if (mx)
-                mx->recordFdSelectTimeout();
         } else if (!(haveTimeout && ticks == 0) && schedIface &&
                    (!chans.empty() || haveTimeout) &&
                    schedIface->blockCurrentFd(
                        proc, FdWait{std::move(chans), haveTimeout, ticks})) {
             ++fdStats.blocks;
-            if (mx)
-                mx->recordFdBlock();
             return SysResult::fail(E_INTR);
         }
     }

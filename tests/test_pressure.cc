@@ -207,7 +207,9 @@ TEST_F(PressureTest, SwapFullOomKillsLargestProcess)
     for (u64 p = 0; p < 10; ++p)
         EXPECT_EQ(ctx().load<u64>(buf, static_cast<s64>(p * pageSize)),
                   p);
-    EXPECT_EQ(m.pressure().oomKills, kern().memPressure().oomKills);
+    EXPECT_NE(m.toJson().find("\"oom_kills\":" +
+                              std::to_string(kern().memPressure().oomKills)),
+              std::string::npos);
     kern().setMetrics(nullptr);
 }
 
@@ -461,13 +463,11 @@ TEST_F(PressureTest, MetricsExportMemoryPressureSection)
                            MAP_ANON | MAP_PRIVATE, &out)
                   .error,
               E_NOMEM);
-    EXPECT_EQ(m.pressure().enomemErrors, 1u);
+    EXPECT_EQ(kern().memPressure().enomemErrors, 1u);
     std::string json = m.toJson();
     EXPECT_NE(json.find("cheri.metrics.v9"), std::string::npos);
     EXPECT_NE(json.find("\"memory\""), std::string::npos);
     EXPECT_NE(json.find("\"enomem\":1"), std::string::npos);
-    m.reset();
-    EXPECT_EQ(m.pressure().enomemErrors, 0u);
     kern().setMetrics(nullptr);
 }
 

@@ -181,6 +181,15 @@ TEST(ReplayTest, CorruptLogRejectedCleanly)
     ReplaySession bad3(ReplaySession::Mode::Replay);
     EXPECT_FALSE(bad3.load({}, &err));
 
+    // A log in the previous format (version 1) is refused by its
+    // version: nothing replays, so nothing can diverge.
+    ReplaySession bad4(ReplaySession::Mode::Replay);
+    std::vector<u8> old = log;
+    old[8] = 1; // little-endian logVersion follows the magic
+    EXPECT_FALSE(bad4.load(old, &err));
+    EXPECT_NE(err.find("unsupported log version"), std::string::npos);
+    EXPECT_EQ(bad4.divergenceCount(), 0u);
+
     // The pristine log still loads.
     ReplaySession good(ReplaySession::Mode::Replay);
     EXPECT_TRUE(good.load(log, &err)) << err;

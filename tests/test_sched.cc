@@ -15,16 +15,23 @@
  *  - the per-context decode cache survives preemption: each distinct
  *    instruction is decoded once for the life of the thread, however
  *    many slices (and ABIs) interleave.
+ *
+ * Plus the metrics registry's view of the scheduler's counters, which
+ * it reads in place: a registry that outlives its kernels keeps their
+ * counts, and a kernel moved between registries is counted once.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "check/invariants.h"
 #include "isa/assembler.h"
 #include "isa/interp.h"
+#include "obs/metrics.h"
 #include "os/kernel.h"
 #include "os/revocation.h"
 #include "os/sched/sched.h"
@@ -364,6 +371,96 @@ TEST(SchedTest, DecodeCacheSurvivesContextSwitches)
             << "decode cache was lost across a context switch";
         EXPECT_GT(st.fetchHits, 8000u);
     }
+}
+
+/** Run @p n identical CPU-bound guests on @p kern to completion. */
+void
+runAluGuests(Kernel &kern, sched::Scheduler &s, int n)
+{
+    isa::Assembler prog = aluLoop(200);
+    for (int i = 0; i < n; ++i) {
+        SchedGuest g = makeGuest(kern, Abi::Mips64, "mx-guest");
+        admitProgram(s, g, prog);
+    }
+    kern.runUntilIdle();
+}
+
+/** The number after @p key in the metrics JSON's "sched" section. */
+u64
+schedField(const std::string &json, const std::string &key)
+{
+    size_t at = json.find("\"" + key + "\":", json.find("\"sched\":{"));
+    EXPECT_NE(at, std::string::npos) << key;
+    return std::strtoull(json.c_str() + at + key.size() + 3, nullptr, 10);
+}
+
+TEST(SchedTest, MetricsRegistryOutlivesItsKernels)
+{
+    obs::Metrics mx;
+    SchedStats runs[2];
+    const int guests[2] = {3, 1};
+    for (int k = 0; k < 2; ++k) {
+        KernelConfig cfg;
+        cfg.timeSliceSteps = 64;
+        Kernel kern(cfg);
+        kern.setMetrics(&mx);
+        sched::Scheduler &s = sched::schedulerFor(kern);
+        runAluGuests(kern, s, guests[k]);
+        runs[k] = s.stats();
+    }
+    // Both kernels are gone; the registry reports what they counted:
+    // sums, except the run-queue high-water mark, which is a max.
+    ASSERT_GT(runs[0].maxRunQueueDepth, runs[1].maxRunQueueDepth);
+    std::string json = mx.toJson();
+    EXPECT_EQ(schedField(json, "preemptions"),
+              runs[0].preemptions + runs[1].preemptions);
+    EXPECT_EQ(schedField(json, "slices"), runs[0].slices + runs[1].slices);
+    EXPECT_EQ(schedField(json, "context_switches"),
+              runs[0].contextSwitches + runs[1].contextSwitches);
+    EXPECT_EQ(schedField(json, "steps_executed"),
+              runs[0].stepsExecuted + runs[1].stepsExecuted);
+    EXPECT_EQ(schedField(json, "max_run_queue_depth"),
+              runs[0].maxRunQueueDepth);
+}
+
+TEST(SchedTest, KernelMovedBetweenRegistriesIsCountedOnce)
+{
+    obs::Metrics first;
+    obs::Metrics second;
+    SchedStats atMove;
+    SchedStats atEnd;
+    {
+        KernelConfig cfg;
+        cfg.timeSliceSteps = 64;
+        Kernel kern(cfg);
+        sched::Scheduler &s = sched::schedulerFor(kern);
+        kern.setMetrics(&first);
+        runAluGuests(kern, s, 2);
+        atMove = s.stats();
+        kern.setMetrics(&second);
+        runAluGuests(kern, s, 2);
+        atEnd = s.stats();
+        EXPECT_EQ(schedField(second.toJson(), "steps_executed"),
+                  atEnd.stepsExecuted);
+        {
+            // A registry destroyed while attached leaves the kernel
+            // without one, not with a dangling pointer.
+            obs::Metrics brief;
+            kern.setMetrics(&brief);
+        }
+        EXPECT_EQ(kern.metrics(), nullptr);
+        runAluGuests(kern, s, 1);
+    }
+    ASSERT_GT(atEnd.stepsExecuted, atMove.stepsExecuted);
+    // The first registry kept the kernel's counts up to the move; the
+    // second, the kernel's totals up to its own detach.  Neither
+    // counted the kernel's destruction again.
+    EXPECT_EQ(schedField(first.toJson(), "steps_executed"),
+              atMove.stepsExecuted);
+    EXPECT_EQ(schedField(first.toJson(), "slices"), atMove.slices);
+    EXPECT_EQ(schedField(second.toJson(), "steps_executed"),
+              atEnd.stepsExecuted);
+    EXPECT_EQ(schedField(second.toJson(), "slices"), atEnd.slices);
 }
 
 } // namespace

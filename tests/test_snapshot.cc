@@ -221,17 +221,29 @@ TEST(SnapshotTest, TruncatedImageRejectedCleanly)
     std::vector<u8> img = snap::save(sys.kern, &err);
     ASSERT_FALSE(img.empty()) << err;
 
-    Kernel kern2;
+    // Truncations at every depth, plus a whole image in the previous
+    // format (version 2), which must be refused by its version alone.
+    std::vector<std::vector<u8>> bad;
     const u64 cuts[] = {0,       7,           17,          64,
                         1000,    img.size() / 4, img.size() / 2,
                         img.size() - 1};
-    for (u64 cut : cuts) {
-        SCOPED_TRACE(cut);
-        std::vector<u8> trunc(img.begin(), img.begin() + cut);
+    for (u64 cut : cuts)
+        bad.emplace_back(img.begin(), img.begin() + cut);
+    bad.push_back(img);
+    bad.back()[8] = 2; // little-endian imageVersion follows the magic
+
+    Kernel kern2;
+    for (const std::vector<u8> &b : bad) {
+        SCOPED_TRACE(b.size());
+        ASSERT_TRUE(snap::restore(kern2, img, &err)) << err;
         err.clear();
-        EXPECT_FALSE(snap::restore(kern2, trunc, &err));
+        EXPECT_FALSE(snap::restore(kern2, b, &err));
         EXPECT_FALSE(err.empty());
+        // Rejected, never half-restored: the target is left empty.
+        EXPECT_EQ(kern2.findProcess(sys.proc->pid()), nullptr);
+        EXPECT_EQ(kern2.physMem().liveFrames(), 0u);
     }
+    EXPECT_NE(err.find("unsupported image version"), std::string::npos);
     // Every rejection left the kernel in a defined state: it accepts
     // the good image afterwards and new work boots on top.
     ASSERT_TRUE(snap::restore(kern2, img, &err)) << err;
