@@ -1,6 +1,8 @@
-# Smoke-run one example: it must exit 0 and print MARKER on stdout.
-#   cmake -DEXE=<example binary> -DMARKER=<text> -P run_example.cmake
-execute_process(COMMAND ${EXE}
+# Smoke-run one binary: it must exit 0 and print MARKER on stdout.
+#   cmake -DEXE=<binary> -DMARKER=<text> [-DARGS="<arg> ..."]
+#         -P run_example.cmake
+separate_arguments(args UNIX_COMMAND "${ARGS}")
+execute_process(COMMAND ${EXE} ${args}
     RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
     message(FATAL_ERROR "${EXE} exited with ${rc}\n${out}${err}")
