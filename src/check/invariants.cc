@@ -61,10 +61,15 @@ representable(const Capability &cap)
                                                 cap.format());
 }
 
-/** Rules 1+2 for a register-file capability (bounds only: register
- *  files legitimately hold e.g. execute-permission code caps). */
+/**
+ * Rules 1+2 for a register-file capability (bounds only: register
+ * files legitimately hold e.g. execute-permission code caps).
+ * @p where renders the location ("regs c17", "tid 3 stack"); it runs
+ * only when a rule fails, so a passing check formats nothing.
+ */
+template <typename Where>
 void
-checkRegCap(Report &r, const Process &proc, const char *where,
+checkRegCap(Report &r, const Process &proc, const Where &where,
             const Capability &cap, const Capability &root)
 {
     if (!cap.tag())
@@ -73,7 +78,7 @@ checkRegCap(Report &r, const Process &proc, const char *where,
     if (!representable(cap)) {
         r.violations.push_back(
             {"cap-representability",
-             fmt("pid %" PRIu64 " %s: %s", proc.pid(), where,
+             fmt("pid %" PRIu64 " %s: %s", proc.pid(), where().c_str(),
                  cap.toString().c_str())});
     }
     if (isSealer(cap))
@@ -82,63 +87,68 @@ checkRegCap(Report &r, const Process &proc, const char *where,
         r.violations.push_back(
             {"cap-containment",
              fmt("pid %" PRIu64 " %s: %s outside root %s", proc.pid(),
-                 where, cap.toString().c_str(),
+                 where().c_str(), cap.toString().c_str(),
                  root.toString().c_str())});
     }
 }
 
+/** A fixed location name for checkRegCap. */
+auto
+named(const char *name)
+{
+    return [name] { return std::string(name); };
+}
+
+/** checkRegCap over a whole register file; @p ctx renders its name. */
+template <typename Ctx>
 void
-checkRegs(Report &r, const Process &proc, const char *ctx,
+checkRegs(Report &r, const Process &proc, const Ctx &ctx,
           const ThreadRegs &regs, const Capability &root)
 {
-    checkRegCap(r, proc, fmt("%s pcc", ctx).c_str(), regs.pcc, root);
-    checkRegCap(r, proc, fmt("%s ddc", ctx).c_str(), regs.ddc, root);
+    checkRegCap(r, proc, [&] { return ctx() + " pcc"; }, regs.pcc, root);
+    checkRegCap(r, proc, [&] { return ctx() + " ddc"; }, regs.ddc, root);
     for (unsigned i = 0; i < numCapRegs; ++i) {
-        checkRegCap(r, proc, fmt("%s c%u", ctx, i).c_str(), regs.c[i],
-                    root);
+        checkRegCap(
+            r, proc, [&] { return ctx() + " c" + std::to_string(i); },
+            regs.c[i], root);
     }
 }
 
-/** Rules 1-3 for every tagged capability resident in @p proc's
+/** Rules 1-3 for one tagged capability resident at @p va in @p proc's
  *  memory — including signal frames, which live on the stack. */
 void
-checkMemoryCaps(Report &r, const Process &proc)
+checkMemoryCap(Report &r, const Process &proc, const Capability &root,
+               u64 va, const Capability &cap)
 {
-    const AddressSpace &as = proc.as();
-    const Capability &root = as.rederivationRoot();
-    as.forEachTaggedCap([&](u64 va, const Capability &cap) {
-        ++r.capsChecked;
-        if (!representable(cap)) {
-            r.violations.push_back(
-                {"cap-representability",
-                 fmt("pid %" PRIu64 " mem @0x%" PRIx64 ": %s",
-                     proc.pid(), va, cap.toString().c_str())});
-            return;
-        }
-        if (isSealer(cap))
-            return;
-        bool contained = cap.base() >= root.base() &&
-                         cap.top() <= root.top() &&
-                         (cap.perms() & ~root.perms()) == 0;
-        if (!contained) {
-            r.violations.push_back(
-                {"cap-containment",
-                 fmt("pid %" PRIu64 " mem @0x%" PRIx64
-                     ": %s outside root",
-                     proc.pid(), va, cap.toString().c_str())});
-            return;
-        }
-        if (cap.sealed())
-            return; // CBuildCap round-trips unsealed patterns only
-        auto rebuilt = Capability::build(root, cap.withoutTag());
-        if (!rebuilt.ok() || !(rebuilt.value() == cap)) {
-            r.violations.push_back(
-                {"cap-derivation",
-                 fmt("pid %" PRIu64 " mem @0x%" PRIx64
-                     ": %s not rederivable from root",
-                     proc.pid(), va, cap.toString().c_str())});
-        }
-    });
+    ++r.capsChecked;
+    if (!representable(cap)) {
+        r.violations.push_back(
+            {"cap-representability",
+             fmt("pid %" PRIu64 " mem @0x%" PRIx64 ": %s", proc.pid(), va,
+                 cap.toString().c_str())});
+        return;
+    }
+    if (isSealer(cap))
+        return;
+    bool contained = cap.base() >= root.base() && cap.top() <= root.top() &&
+                     (cap.perms() & ~root.perms()) == 0;
+    if (!contained) {
+        r.violations.push_back(
+            {"cap-containment",
+             fmt("pid %" PRIu64 " mem @0x%" PRIx64 ": %s outside root",
+                 proc.pid(), va, cap.toString().c_str())});
+        return;
+    }
+    if (cap.sealed())
+        return; // CBuildCap round-trips unsealed patterns only
+    auto rebuilt = Capability::build(root, cap.withoutTag());
+    if (!rebuilt.ok() || !(rebuilt.value() == cap)) {
+        r.violations.push_back(
+            {"cap-derivation",
+             fmt("pid %" PRIu64 " mem @0x%" PRIx64
+                 ": %s not rederivable from root",
+                 proc.pid(), va, cap.toString().c_str())});
+    }
 }
 
 } // namespace
@@ -164,7 +174,9 @@ Invariants::check(Kernel &kern)
     Report r;
 
     std::unordered_map<const Frame *, FrameUse> frames;
+    frames.reserve(kern.physMem().liveFrames());
     std::unordered_map<u64, u64> slotRefs; // slot -> PTEs naming it
+    std::vector<Violation> pteViolations;
 
     kern.forEachProcess([&](const Process &proc) {
         ++r.processes;
@@ -172,32 +184,40 @@ Invariants::check(Kernel &kern)
 
         // Capability state: current register file, switched-out thread
         // contexts, and the startup capability slots (Figure 1).
-        checkRegs(r, proc, "regs", proc.regs(), root);
+        checkRegs(r, proc, named("regs"), proc.regs(), root);
         proc.forEachThread([&](const ThreadRecord &t) {
-            checkRegs(r, proc, fmt("tid %" PRIu64, t.tid).c_str(),
-                      t.saved, root);
-            checkRegCap(r, proc, fmt("tid %" PRIu64 " stack", t.tid).c_str(),
+            auto tid = [&] { return fmt("tid %" PRIu64, t.tid); };
+            checkRegs(r, proc, tid, t.saved, root);
+            checkRegCap(r, proc, [&] { return tid() + " stack"; },
                         t.stackCap, root);
         });
-        checkRegCap(r, proc, "stackCap", proc.stackCap, root);
-        checkRegCap(r, proc, "argvCap", proc.argvCap, root);
-        checkRegCap(r, proc, "envvCap", proc.envvCap, root);
-        checkRegCap(r, proc, "auxvCap", proc.auxvCap, root);
-        checkRegCap(r, proc, "trampolineCap", proc.trampolineCap, root);
+        checkRegCap(r, proc, named("stackCap"), proc.stackCap, root);
+        checkRegCap(r, proc, named("argvCap"), proc.argvCap, root);
+        checkRegCap(r, proc, named("envvCap"), proc.envvCap, root);
+        checkRegCap(r, proc, named("auxvCap"), proc.auxvCap, root);
+        checkRegCap(r, proc, named("trampolineCap"), proc.trampolineCap,
+                    root);
 
-        checkMemoryCaps(r, proc);
-
-        // Page tables: frame ownership and swap references.
+        // One pass over the page table: rules 1-3 for every capability
+        // in each resident frame, and the frame ownership and swap
+        // references rules 4-5 total up below.  Page-table violations
+        // are held back and reported after all of the process's memory
+        // capability violations.
+        pteViolations.clear();
         proc.as().forEachPte([&](const AddressSpace::PteView &pte) {
             ++r.pagesChecked;
             if (pte.frame && pte.swapped) {
-                r.violations.push_back(
+                pteViolations.push_back(
                     {"pte-resident-and-swapped",
                      fmt("pid %" PRIu64 " va 0x%" PRIx64
                          " holds both a frame and slot %" PRIu64,
                          proc.pid(), pte.va, pte.swapSlot)});
             }
             if (pte.frame) {
+                pte.frame->forEachTagged(
+                    [&](u64 off, const Capability &cap) {
+                        checkMemoryCap(r, proc, root, pte.va + off, cap);
+                    });
                 FrameUse &u = frames[pte.frame];
                 ++u.pteUsers;
                 if (!pte.cow && !pte.shared)
@@ -207,6 +227,8 @@ Invariants::check(Kernel &kern)
                 ++slotRefs[pte.swapSlot];
             }
         });
+        r.violations.insert(r.violations.end(), pteViolations.begin(),
+                            pteViolations.end());
 
         // Rule 7: a revocation epoch that closed at this exact
         // quiescent point promises absence — no tagged capability into

@@ -29,14 +29,14 @@ Frame::write(u64 off, const void *buf, u64 len)
     u64 first = off / capSize;
     u64 last = (off + len - 1) / capSize;
     for (u64 g = first; g <= last; ++g)
-        tags.reset(g);
+        setTag(g, false);
 }
 
 void
 Frame::clear()
 {
     data.fill(0);
-    tags.reset();
+    tags.fill(0);
 }
 
 Capability
@@ -45,7 +45,7 @@ Frame::readCap(u64 off) const
     CHERI_KASSERT(off % capSize == 0 && off + capSize <= pageSize,
                   "cap load granule-aligned and in page");
     u64 g = off / capSize;
-    if (tags.test(g))
+    if (tagged(g))
         return caps[g];
     std::array<u8, capSize> raw;
     std::memcpy(raw.data(), data.data() + off, capSize);
@@ -60,7 +60,7 @@ Frame::writeCap(u64 off, const Capability &cap)
     u64 g = off / capSize;
     auto raw = cap.toBytes();
     std::memcpy(data.data() + off, raw.data(), capSize);
-    tags.set(g, cap.tag());
+    setTag(g, cap.tag());
     caps[g] = cap;
 }
 

@@ -21,7 +21,7 @@
 #define CHERI_MEM_PHYS_MEM_H
 
 #include <array>
-#include <bitset>
+#include <bit>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -82,31 +82,58 @@ class Frame
     void writeCap(u64 off, const Capability &cap);
 
     /** Tag bit of the granule containing @p off. */
-    bool tagAt(u64 off) const { return tags.test(off / capSize); }
+    bool tagAt(u64 off) const { return tagged(off / capSize); }
 
     /** Clear the tag of the granule containing @p off. */
-    void clearTagAt(u64 off) { tags.reset(off / capSize); }
+    void clearTagAt(u64 off) { setTag(off / capSize, false); }
 
     /** Number of tagged granules in the page. */
-    u64 taggedCount() const { return tags.count(); }
+    u64
+    taggedCount() const
+    {
+        u64 n = 0;
+        for (u64 w : tags)
+            n += std::popcount(w);
+        return n;
+    }
 
     /** Raw data access for swap and checkpointing. */
     const std::array<u8, pageSize> &bytes() const { return data; }
 
-    /** Visit every tagged granule as (offset, capability). */
+    /** Visit every tagged granule as (offset, capability), in
+     *  ascending offset order.  Scans the tag bitmap a word at a time,
+     *  so untagged stretches cost one test per 64 granules. */
     template <typename Fn>
     void
     forEachTagged(Fn &&fn) const
     {
-        for (u64 g = 0; g < granulesPerPage; ++g) {
-            if (tags.test(g))
+        for (u64 w = 0; w < tagWords; ++w) {
+            for (u64 bits = tags[w]; bits != 0; bits &= bits - 1) {
+                u64 g = w * 64 + std::countr_zero(bits);
                 fn(g * capSize, caps[g]);
+            }
         }
     }
 
   private:
+    static constexpr u64 tagWords = granulesPerPage / 64;
+    static_assert(granulesPerPage % 64 == 0, "whole tag words per page");
+
+    bool tagged(u64 g) const { return (tags[g / 64] >> (g % 64)) & 1; }
+
+    void
+    setTag(u64 g, bool on)
+    {
+        u64 bit = u64{1} << (g % 64);
+        if (on)
+            tags[g / 64] |= bit;
+        else
+            tags[g / 64] &= ~bit;
+    }
+
     std::array<u8, pageSize> data;
-    std::bitset<granulesPerPage> tags;
+    /** One tag bit per granule, 64 granules per word. */
+    std::array<u64, tagWords> tags{};
     std::array<Capability, granulesPerPage> caps;
 };
 

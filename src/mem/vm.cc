@@ -181,12 +181,16 @@ AddressSpace::map(u64 addr, u64 len, u32 prot, MappingKind kind, bool fixed,
     mappings.emplace(start, m);
     // PTEs are created eagerly (frameless) so protection is recorded per
     // page; the *frames* stay demand-zero, allocated by walk() on first
-    // touch.
+    // touch.  Every page goes in just before the first PTE above the
+    // range, in ascending order, so each insert is amortised O(1).
+    auto above = pages.lower_bound(start);
+    CHERI_KASSERT(above == pages.end() || above->first >= start + len,
+                  "fresh mapping range holds no PTEs");
     for (u64 va = start; va < start + len; va += pageSize) {
         Pte pte;
         pte.prot = prot;
         pte.shared = shared;
-        pages[va] = std::move(pte);
+        pages.emplace_hint(above, va, std::move(pte));
     }
     return start;
 }
@@ -486,7 +490,8 @@ AddressSpace::forkCopy(u64 new_principal) const
         // discard) would free the sibling's only copy of the page.
         if (pte.swapped)
             swap.retain(pte.swapSlot);
-        child->pages[va] = cp;
+        // Ascending VA order: appending at the end is amortised O(1).
+        child->pages.emplace_hint(child->pages.end(), va, std::move(cp));
     }
     // The parent's private pages just became COW: any cached writable
     // translation would let a store dodge the copy and corrupt the
@@ -834,38 +839,6 @@ AddressSpace::residentPages() const
     for (const auto &[va, pte] : pages)
         n += pte.frame != nullptr;
     return n;
-}
-
-void
-AddressSpace::forEachPte(
-    const std::function<void(const PteView &)> &fn) const
-{
-    for (const auto &[va, pte] : pages) {
-        PteView v;
-        v.va = va;
-        v.prot = pte.prot;
-        v.cow = pte.cow;
-        v.shared = pte.shared;
-        v.swapped = pte.swapped;
-        v.swapSlot = pte.swapped ? pte.swapSlot : 0;
-        v.capDirty = pte.capDirty;
-        v.sweptEpoch = pte.sweptEpoch;
-        v.frame = pte.frame.get();
-        v.frameRefs = pte.frame ? pte.frame.use_count() : 0;
-        fn(v);
-    }
-}
-
-void
-AddressSpace::forEachTaggedCap(
-    const std::function<void(u64, const Capability &)> &fn) const
-{
-    for (const auto &[va, pte] : pages) {
-        if (!pte.frame)
-            continue;
-        pte.frame->forEachTagged(
-            [&](u64 off, const Capability &cap) { fn(va + off, cap); });
-    }
 }
 
 u64

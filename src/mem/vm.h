@@ -410,15 +410,44 @@ class AddressSpace
         long frameRefs = 0;
     };
 
-    /** Visit every page-table entry without touching walk state. */
-    void forEachPte(const std::function<void(const PteView &)> &fn) const;
+    /** Visit every page-table entry, in ascending VA order, without
+     *  touching walk state. */
+    template <typename Fn>
+    void
+    forEachPte(Fn &&fn) const
+    {
+        for (const auto &[va, pte] : pages) {
+            PteView v;
+            v.va = va;
+            v.prot = pte.prot;
+            v.cow = pte.cow;
+            v.shared = pte.shared;
+            v.swapped = pte.swapped;
+            v.swapSlot = pte.swapped ? pte.swapSlot : 0;
+            v.capDirty = pte.capDirty;
+            v.sweptEpoch = pte.sweptEpoch;
+            v.frame = pte.frame.get();
+            v.frameRefs = pte.frame ? pte.frame.use_count() : 0;
+            fn(v);
+        }
+    }
 
     /** Total tagged granules across resident pages (trace support). */
     u64 taggedGranules() const;
 
-    /** Visit every tagged capability resident in this space. */
-    void forEachTaggedCap(
-        const std::function<void(u64 va, const Capability &)> &fn) const;
+    /** Visit every tagged capability resident in this space as
+     *  (va, capability), in ascending VA order. */
+    template <typename Fn>
+    void
+    forEachTaggedCap(Fn &&fn) const
+    {
+        for (const auto &[va, pte] : pages) {
+            if (!pte.frame)
+                continue;
+            pte.frame->forEachTagged(
+                [&](u64 off, const Capability &cap) { fn(va + off, cap); });
+        }
+    }
 
     /**
      * Abstract-capability containment invariant (paper section 3:

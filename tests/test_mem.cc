@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "mem/phys_mem.h"
 #include "mem/swap.h"
 #include "mem/vm.h"
@@ -143,6 +145,99 @@ TEST_F(MemTest, MapFixedRefusesOverlapUnlessForced)
     EXPECT_EQ(as.map(va, pageSize, PROT_READ, MappingKind::Data, true,
                      false, "", true),
               va);
+}
+
+TEST_F(MemTest, ForcedFixedReplaceLeavesFreshDemandZeroPtes)
+{
+    // Touch all three pages: plain data, a tagged capability, and a
+    // page that is then swapped out.
+    u64 va = mapAnon(3 * pageSize);
+    u64 word = 0x5A5A;
+    for (u64 pg = 0; pg < 3; ++pg)
+        ASSERT_FALSE(as.writeBytes(va + pg * pageSize, &word, 8));
+    ASSERT_FALSE(as.writeCap(va + pageSize + 16, capFor(va, 16)));
+    ASSERT_TRUE(as.swapOutPage(va + 2 * pageSize));
+
+    ASSERT_EQ(as.map(va, 3 * pageSize, PROT_READ, MappingKind::Data, true,
+                     false, "", true),
+              va);
+    std::vector<AddressSpace::PteView> ptes;
+    as.forEachPte([&](const AddressSpace::PteView &v) { ptes.push_back(v); });
+    ASSERT_EQ(ptes.size(), 3u);
+    for (u64 pg = 0; pg < 3; ++pg) {
+        const AddressSpace::PteView &v = ptes[pg];
+        EXPECT_EQ(v.va, va + pg * pageSize);
+        EXPECT_EQ(v.prot, u32{PROT_READ});
+        EXPECT_EQ(v.frame, nullptr);
+        EXPECT_FALSE(v.swapped);
+        EXPECT_FALSE(v.cow);
+        EXPECT_FALSE(v.capDirty);
+    }
+    EXPECT_EQ(phys.liveFrames(), 0u);
+    u64 slots = 0;
+    swap.forEachSlot([&](u64, u64) { ++slots; });
+    EXPECT_EQ(slots, 0u) << "the swapped page's slot must be released";
+
+    u64 got = 1;
+    ASSERT_FALSE(as.readBytes(va + pageSize, &got, 8));
+    EXPECT_EQ(got, 0u);
+    EXPECT_FALSE(as.readCap(va + pageSize + 16).value().tag());
+    EXPECT_TRUE(as.writeBytes(va, &word, 8).has_value())
+        << "the replacement mapping is read-only";
+}
+
+TEST_F(MemTest, ForcedFixedReplaceInsideMappingKeepsNeighbours)
+{
+    u64 va = mapAnon(3 * pageSize);
+    for (u64 pg = 0; pg < 3; ++pg) {
+        u64 word = 0x100 + pg;
+        ASSERT_FALSE(as.writeBytes(va + pg * pageSize, &word, 8));
+    }
+    ASSERT_EQ(as.map(va + pageSize, pageSize, PROT_READ, MappingKind::Data,
+                     true, false, "", true),
+              va + pageSize);
+    std::vector<AddressSpace::PteView> ptes;
+    as.forEachPte([&](const AddressSpace::PteView &v) { ptes.push_back(v); });
+    ASSERT_EQ(ptes.size(), 3u);
+    EXPECT_EQ(ptes[1].va, va + pageSize);
+    EXPECT_EQ(ptes[1].prot, u32{PROT_READ});
+    EXPECT_EQ(ptes[1].frame, nullptr);
+    for (u64 pg : {u64{0}, u64{2}}) {
+        EXPECT_EQ(ptes[pg].prot, u32{PROT_READ | PROT_WRITE});
+        u64 got = 0;
+        ASSERT_FALSE(as.readBytes(va + pg * pageSize, &got, 8));
+        EXPECT_EQ(got, 0x100 + pg);
+    }
+}
+
+TEST_F(MemTest, ForEachTaggedVisitsGranulesInAscendingOffsetOrder)
+{
+    auto frame = phys.allocFrame();
+    // Stored out of order, across all four tag words and their edges.
+    for (u64 g : {u64{255}, u64{64}, u64{0}, u64{127}, u64{63}}) {
+        frame->writeCap(g * capSize, Capability::root()
+                                         .setAddress(0x1000 + g * 64)
+                                         .setBounds(16)
+                                         .value());
+    }
+    // An untagged store sets no tag and must not be visited.
+    frame->writeCap(5 * capSize, Capability::fromAddress(42));
+    std::vector<u64> offs;
+    frame->forEachTagged([&](u64 off, const Capability &cap) {
+        offs.push_back(off);
+        EXPECT_EQ(cap, frame->readCap(off));
+    });
+    EXPECT_EQ(offs, (std::vector<u64>{0, 63 * capSize, 64 * capSize,
+                                      127 * capSize, 255 * capSize}));
+    EXPECT_EQ(frame->taggedCount(), 5u);
+
+    frame->clearTagAt(64 * capSize);
+    offs.clear();
+    frame->forEachTagged(
+        [&](u64 off, const Capability &) { offs.push_back(off); });
+    EXPECT_EQ(offs, (std::vector<u64>{0, 63 * capSize, 127 * capSize,
+                                      255 * capSize}));
+    EXPECT_EQ(frame->taggedCount(), 4u);
 }
 
 TEST_F(MemTest, UnmapSplitsMappings)
