@@ -5,7 +5,9 @@
  * nondeterministic inputs and replays bit-for-bit with zero
  * divergences and identical metrics JSON; a planted perturbation is
  * caught by the divergence oracle and attributed to the right
- * syscall; corrupt logs are rejected cleanly.
+ * syscall; corrupt logs are rejected cleanly.  The format pins hold
+ * the CHRILOG1 bytes of a fixed run, and the exact load error for
+ * truncations at each depth, to constants.
  */
 
 #include <gtest/gtest.h>
@@ -222,6 +224,94 @@ TEST(ReplayTest, SessionsRecordedInMetrics)
     replayer.run();
     EXPECT_EQ(mx2.snapshot().replays, 1u);
     EXPECT_EQ(mx2.snapshot().replayDivergences, 0u);
+}
+
+// --- Format pins ---
+
+/** FNV-1a of the CHRILOG1 bytes recorded for baseOptions() with one
+ *  case; a change means the log format moved (bump logVersion). */
+constexpr u64 pinLogSize = 18245;
+constexpr u64 pinLogFnv = 1596265777041374510ULL;
+
+u64
+fnv1a(const std::vector<u8> &v)
+{
+    u64 h = 1469598103934665603ULL;
+    for (u8 b : v) {
+        h ^= b;
+        h *= 1099511628211ULL;
+    }
+    return h;
+}
+
+/** The load error for @p log cut to its first @p n bytes. */
+std::string
+loadErrorAt(const std::vector<u8> &log, u64 n)
+{
+    ReplaySession rp(ReplaySession::Mode::Replay);
+    std::string err;
+    std::vector<u8> cut(log.begin(), log.begin() + static_cast<long>(n));
+    EXPECT_FALSE(rp.load(cut, &err));
+    return err;
+}
+
+TEST(ReplayFormatPin, LogDigestAndTruncationErrors)
+{
+    FuzzOptions opts = baseOptions();
+    opts.cases = 1;
+    std::vector<u8> log = recordRun(opts);
+    EXPECT_EQ(log.size(), pinLogSize);
+    EXPECT_EQ(fnv1a(log), pinLogFnv);
+
+    // Layout: 8-byte magic, u64 version, nine u64 header fields, u64
+    // entry count, then entries of a tag byte and two u64s, quiesce
+    // entries followed by five more u64s.  A cut shorter than the
+    // entry count reads as a corrupt count, so the entry cuts below
+    // land past that many bytes.
+    const u64 entries = 8 + 8 + 9 * 8 + 8;
+    const u64 plainSize = 1 + 2 * 8;
+    const u64 quiesceSize = plainSize + 5 * 8;
+    ASSERT_GT(log.size(), entries);
+    u64 count = 0;
+    for (int i = 0; i < 8; ++i)
+        count |= static_cast<u64>(log[entries - 8 + i]) << (8 * i);
+    u64 plain = 0, quiesce = 0;
+    for (u64 pos = entries; pos < log.size();) {
+        bool isQuiesce = log[pos] == 3;
+        if (pos > count && !isQuiesce && !plain)
+            plain = pos;
+        if (pos > count && isQuiesce && !quiesce)
+            quiesce = pos;
+        pos += isQuiesce ? quiesceSize : plainSize;
+    }
+    ASSERT_NE(plain, 0u);
+    ASSERT_NE(quiesce, 0u);
+    ASSERT_LT(quiesce + quiesceSize, log.size());
+
+    EXPECT_EQ(loadErrorAt(log, 4), "bad log magic");
+    EXPECT_EQ(loadErrorAt(log, 12), "unsupported log version");
+    EXPECT_EQ(loadErrorAt(log, 16 + 20), "truncated log header");
+    EXPECT_EQ(loadErrorAt(log, entries - 3), "corrupt log entry count");
+    EXPECT_EQ(loadErrorAt(log, entries + 5), "corrupt log entry count");
+    EXPECT_EQ(loadErrorAt(log, plain), "truncated log");
+    EXPECT_EQ(loadErrorAt(log, plain + 5), "truncated log entry");
+    EXPECT_EQ(loadErrorAt(log, quiesce + 9), "truncated log entry");
+    EXPECT_EQ(loadErrorAt(log, quiesce + plainSize + 12),
+              "truncated quiesce entry");
+    EXPECT_EQ(loadErrorAt(log, quiesce + quiesceSize), "truncated log");
+
+    // A forged entry tag and a forged count are corruption, not
+    // truncation.
+    std::vector<u8> badTag = log;
+    badTag[entries] = 9;
+    ReplaySession rp(ReplaySession::Mode::Replay);
+    std::string err;
+    EXPECT_FALSE(rp.load(badTag, &err));
+    EXPECT_EQ(err, "corrupt log entry tag");
+    std::vector<u8> badCount = log;
+    badCount[entries - 2] = 0x7f;
+    EXPECT_FALSE(rp.load(badCount, &err));
+    EXPECT_EQ(err, "corrupt log entry count");
 }
 
 } // namespace

@@ -6,11 +6,15 @@
  * fork-shared swap slots, clean rejection of truncated/corrupt
  * images, the kernelReady wake-edge guard, and the select-deadline
  * regression (a parked select's timeout must fire exactly once on
- * the restored side).
+ * the restored side).  The format pins at the end hold the CHRIIMG1
+ * bytes of fixed scenarios, and the exact outcome of a corruption
+ * sweep, to constants: any change to the image layout, or to what
+ * restore accepts and rejects, shows up there.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "check/invariants.h"
@@ -479,6 +483,147 @@ TEST(SnapshotTest, MetricsSnapshotSectionInV9Schema)
     EXPECT_NE(json.find("cheri.metrics.v9"), std::string::npos);
     EXPECT_NE(json.find("\"snapshot\""), std::string::npos);
     EXPECT_NE(json.find("\"restores\""), std::string::npos);
+}
+
+// --- Format pins ---
+//
+// The constants below are FNV-1a digests of CHRIIMG1 bytes (and of
+// restore outcomes) for fixed scenarios.  A change to them means the
+// image format moved: that needs an imageVersion bump, not a new pin.
+// The scenarios open no pipes, because channel wait tokens come from a
+// process-global counter and would make the bytes depend on test order.
+
+constexpr u64 pinGuestSize = 416901;
+constexpr u64 pinGuestFnv = 4714878200981800505ULL;
+constexpr u64 pinSchedSize = 444198;
+constexpr u64 pinSchedFnv = 18340569040244652486ULL;
+constexpr u64 pinSweepFlips = 1045;
+constexpr u64 pinSweepRejected = 104;
+constexpr u64 pinSweepFnv = 8100616281167184169ULL;
+
+u64
+fnv1a(const void *data, u64 n, u64 h = 1469598103934665603ULL)
+{
+    const u8 *p = static_cast<const u8 *>(data);
+    for (u64 i = 0; i < n; ++i) {
+        h ^= p[i];
+        h *= 1099511628211ULL;
+    }
+    return h;
+}
+
+u64
+fnv1a(const std::vector<u8> &v)
+{
+    return fnv1a(v.data(), v.size());
+}
+
+/** CheriABI guest: a 2-page mmap with one page swapped out, then a
+ *  fork, so the image carries a fork-shared swap slot and COW pages. */
+std::vector<u8>
+pinnedGuestImage()
+{
+    GuestSystem sys{Abi::CheriAbi};
+    GuestPtr buf = sys.ctx->mmap(2 * pageSize);
+    sys.ctx->store<u64>(buf, 0, 0x1111);
+    sys.ctx->store<u64>(buf, pageSize, 0x2222);
+    EXPECT_TRUE(sys.proc->as().swapOutPage(buf.addr()));
+    EXPECT_NE(sys.kern.fork(*sys.proc), nullptr);
+    std::string err;
+    std::vector<u8> img = snap::save(sys.kern, &err);
+    EXPECT_FALSE(img.empty()) << err;
+    return img;
+}
+
+/** Two scheduled guests with a metrics registry attached, saved from
+ *  the slice hook mid-run: SEC_SCHED carries live contexts and a run
+ *  queue, SEC_METRICS carries syscall, mix and thread-step data. */
+std::vector<u8>
+pinnedSchedImage()
+{
+    obs::Metrics mx;
+    KernelConfig cfg;
+    cfg.timeSliceSteps = 16;
+    Kernel kern(cfg);
+    kern.setMetrics(&mx);
+    sched::Scheduler &s = sched::schedulerFor(kern);
+
+    SchedGuest a = makeGuest(kern, Abi::Mips64, "pin-spin");
+    SchedGuest b = makeGuest(kern, Abi::Mips64, "pin-getpid");
+    isa::Assembler pa;
+    pa.li(9, 40).label("spin").sub(9, 9, 1).bne(9, 0, "spin").halt();
+    admitProgram(s, a, pa);
+    isa::Assembler pb;
+    pb.li(9, 12)
+        .label("loop")
+        .syscall(static_cast<s64>(SysNum::Getpid))
+        .sub(9, 9, 1)
+        .bne(9, 0, "loop")
+        .halt();
+    admitProgram(s, b, pb);
+
+    std::vector<u8> img;
+    u64 slices = 0;
+    s.setSliceHook([&](Process &) {
+        if (++slices != 5)
+            return;
+        std::string err;
+        img = snap::save(kern, &err);
+        EXPECT_FALSE(img.empty()) << err;
+    });
+    kern.runUntilIdle();
+    s.setSliceHook(nullptr);
+    EXPECT_FALSE(img.empty()) << "fewer than 5 slices ran";
+    return img;
+}
+
+TEST(SnapshotFormatPin, GuestImageDigest)
+{
+    std::vector<u8> img = pinnedGuestImage();
+    EXPECT_EQ(img.size(), pinGuestSize);
+    EXPECT_EQ(fnv1a(img), pinGuestFnv);
+}
+
+TEST(SnapshotFormatPin, SchedMetricsImageDigest)
+{
+    std::vector<u8> img = pinnedSchedImage();
+    EXPECT_EQ(img.size(), pinSchedSize);
+    EXPECT_EQ(fnv1a(img), pinSchedFnv);
+}
+
+TEST(SnapshotFormatPin, CorruptionSweepOutcomes)
+{
+    // XOR 0x41 into every 251st byte of the image's last 256 KiB and
+    // restore each variant.  The sequence of outcomes ("ok" or the
+    // exact error text) is pinned: which flips restore rejects, and
+    // with which message, is part of the format.  Accepted variants
+    // are not required to be oracle-clean: restore takes
+    // invariant-violating images by design (failure artifacts are such
+    // images), and `cheri_replay restore` runs the oracle afterwards.
+    std::vector<u8> img = pinnedGuestImage();
+    ASSERT_FALSE(img.empty());
+    const u64 window = 256 * 1024;
+    const u64 start = img.size() > window ? img.size() - window : 0;
+    Kernel kern2;
+    u64 h = fnv1a(nullptr, 0);
+    u64 flips = 0, rejected = 0;
+    for (u64 off = start; off < img.size(); off += 251) {
+        std::vector<u8> bad = img;
+        bad[off] ^= 0x41;
+        std::string err;
+        bool ok = snap::restore(kern2, bad, &err);
+        std::string outcome = ok ? std::string("ok") : err;
+        h = fnv1a(outcome.data(), outcome.size() + 1, h);
+        ++flips;
+        rejected += ok ? 0 : 1;
+    }
+    EXPECT_EQ(flips, pinSweepFlips);
+    EXPECT_EQ(rejected, pinSweepRejected);
+    EXPECT_EQ(h, pinSweepFnv);
+    // The sweep leaves the kernel usable: the pristine image restores.
+    std::string err;
+    ASSERT_TRUE(snap::restore(kern2, img, &err)) << err;
+    expectOracleClean(kern2);
 }
 
 } // namespace
