@@ -14,9 +14,12 @@
  * wipes the previous state and rebuilds from the image, which is
  * exactly the forensic `cheri_replay restore` path.
  *
- * --json emits machine-readable results.  There is no --check gate:
- * wall-clock throughput depends on the host, so this bench informs
- * rather than gates.
+ * Image fidelity is checked in every mode and fails the run: every
+ * re-save must be byte-identical to the first image, and saving the
+ * kernel restored from that image must reproduce it byte for byte.
+ * Throughput is not gated (wall-clock depends on the host).  --check
+ * runs the fidelity gate with a few reps only, for sanitizer builds;
+ * --json emits machine-readable results.
  */
 
 #include <chrono>
@@ -38,6 +41,7 @@ namespace
 constexpr u64 kProcs = 6;
 constexpr u64 kPagesPerProc = 32;
 constexpr int kReps = 20;
+constexpr int kCheckReps = 3;
 
 SelfObject
 benchProgram()
@@ -100,9 +104,12 @@ int
 main(int argc, char **argv)
 {
     bool json = false;
+    int reps = kReps;
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--json"))
             json = true;
+        else if (!std::strcmp(argv[i], "--check"))
+            reps = kCheckReps;
     }
 
     Kernel kern;
@@ -120,17 +127,18 @@ main(int argc, char **argv)
     }
 
     auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < kReps; ++i) {
+    for (int i = 0; i < reps; ++i) {
         std::vector<u8> img = snap::save(kern, &err);
-        if (img.size() != image.size()) {
-            std::fprintf(stderr, "snapshot_bench: unstable image\n");
+        if (img != image) {
+            std::fprintf(stderr, "snapshot_bench: re-save %d differs "
+                                 "from the first image\n", i);
             return 1;
         }
     }
     double saveSec = secondsSince(t0);
 
     t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < kReps; ++i) {
+    for (int i = 0; i < reps; ++i) {
         if (!snap::restore(kern, image, &err)) {
             std::fprintf(stderr, "snapshot_bench: restore failed: %s\n",
                          err.c_str());
@@ -138,10 +146,15 @@ main(int argc, char **argv)
         }
     }
     double restoreSec = secondsSince(t0);
+    if (snap::save(kern, &err) != image) {
+        std::fprintf(stderr, "snapshot_bench: save(restore(image)) differs "
+                             "from image: %s\n", err.c_str());
+        return 1;
+    }
 
     double mb = static_cast<double>(image.size()) / (1024.0 * 1024.0);
-    double saveMbs = mb * kReps / saveSec;
-    double restoreMbs = mb * kReps / restoreSec;
+    double saveMbs = mb * reps / saveSec;
+    double restoreMbs = mb * reps / restoreSec;
 
     if (json) {
         std::printf("{\"bench\":\"snapshot\",\"procs\":%llu,"
@@ -150,7 +163,7 @@ main(int argc, char **argv)
                     "\"restoreMBps\":%.1f}\n",
                     (unsigned long long)kProcs,
                     (unsigned long long)kPagesPerProc, image.size(),
-                    kReps, saveMbs, restoreMbs);
+                    reps, saveMbs, restoreMbs);
         return 0;
     }
 
@@ -158,8 +171,8 @@ main(int argc, char **argv)
     bench::note("workload: " + std::to_string(kProcs) + " processes x " +
                 std::to_string(kPagesPerProc) + " resident pages");
     std::printf("image size    %10zu bytes\n", image.size());
-    std::printf("save          %10.1f MB/s  (%d reps)\n", saveMbs, kReps);
+    std::printf("save          %10.1f MB/s  (%d reps)\n", saveMbs, reps);
     std::printf("restore       %10.1f MB/s  (%d reps)\n", restoreMbs,
-                kReps);
+                reps);
     return 0;
 }

@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "os/kernel.h"
+#include "os/snapshot/archive.h"
 #include "os/sysnum.h"
 
 namespace cheri::check
@@ -25,23 +26,46 @@ enum : u8
     TAG_END = 5,
 };
 
+/** The log's preamble: magic, version, the recorded run's options
+ *  and the entry count — listed once for serialize and load. */
+template <class Ar, class O>
 void
-put64(std::vector<u8> &out, u64 v)
+ioPreamble(Ar &ar, O &o, u64 &count)
 {
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<u8>(v >> (8 * i)));
+    char magic[sizeof(logMagic)];
+    std::memcpy(magic, logMagic, sizeof(magic));
+    ar.truncation("bad log magic");
+    ar.bytes(magic, sizeof(magic));
+    if (std::memcmp(magic, logMagic, sizeof(magic)) != 0)
+        throw snap::ParseError("bad log magic");
+    u64 version = ReplaySession::logVersion;
+    ar.truncation("unsupported log version");
+    ar.u64(version);
+    if (version != ReplaySession::logVersion)
+        throw snap::ParseError("unsupported log version");
+    ar.truncation("truncated log header");
+    ar.u64(o.seed, o.cases, o.opsPerCase, o.inject, o.checkEvery,
+           o.plantSlotBug, o.frameCapacity, o.swapSlotBudget, o.multiProc);
+    ar.truncation("corrupt log entry count");
+    ar.u64(count);
 }
 
-bool
-get64(const std::vector<u8> &in, u64 &pos, u64 &v)
+/** One log record: a tag byte and two words, plus the digest tail of a
+ *  quiesce entry. */
+template <class Ar, class E>
+void
+ioEntry(Ar &ar, E &e)
 {
-    if (in.size() - pos < 8)
-        return false;
-    v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<u64>(in[pos + static_cast<u64>(i)]) << (8 * i);
-    pos += 8;
-    return true;
+    ar.truncation("truncated log");
+    ar.u8(e.tag);
+    if (e.tag < TAG_RNG || e.tag > TAG_END)
+        throw snap::ParseError("corrupt log entry tag");
+    ar.truncation("truncated log entry");
+    ar.u64(e.a, e.b);
+    if (e.tag == TAG_QUIESCE) {
+        ar.truncation("truncated quiesce entry");
+        ar.u64(e.code, e.regHash, e.frames, e.slots, e.statsHash);
+    }
 }
 
 constexpr u64 fnvOffset = 1469598103934665603ULL;
@@ -352,94 +376,49 @@ ReplaySession::finish()
 std::vector<u8>
 ReplaySession::serialize(const FuzzOptions &opts) const
 {
-    std::vector<u8> out;
-    out.insert(out.end(), logMagic, logMagic + sizeof(logMagic));
-    put64(out, logVersion);
-    put64(out, opts.seed);
-    put64(out, opts.cases);
-    put64(out, opts.opsPerCase);
-    put64(out, opts.inject ? 1 : 0);
-    put64(out, opts.checkEvery);
-    put64(out, opts.plantSlotBug ? 1 : 0);
-    put64(out, opts.frameCapacity);
-    put64(out, opts.swapSlotBudget);
-    put64(out, opts.multiProc);
     // Mid-run artifact dumps serialize an unfinished log; append the
     // end marker so the emitted file replays cleanly on its own.
     bool needEnd = log.empty() || log.back().tag != TAG_END;
-    put64(out, log.size() + (needEnd ? 1 : 0));
-    for (const Entry &e : log) {
-        out.push_back(e.tag);
-        put64(out, e.a);
-        put64(out, e.b);
-        if (e.tag == TAG_QUIESCE) {
-            put64(out, e.code);
-            put64(out, e.regHash);
-            put64(out, e.frames);
-            put64(out, e.slots);
-            put64(out, e.statsHash);
-        }
-    }
+    u64 count = log.size() + (needEnd ? 1 : 0);
+    snap::Writer ar;
+    ioPreamble(ar, opts, count);
+    for (const Entry &e : log)
+        ioEntry(ar, e);
     if (needEnd) {
-        out.push_back(TAG_END);
-        put64(out, 0);
-        put64(out, 0);
+        Entry end;
+        end.tag = TAG_END;
+        ioEntry(ar, end);
     }
-    return out;
+    return ar.take();
 }
 
 bool
 ReplaySession::load(const std::vector<u8> &in, std::string *error)
 {
-    auto fail = [&](const char *msg) {
-        if (error)
-            *error = msg;
-        return false;
-    };
-    if (in.size() < sizeof(logMagic) ||
-        std::memcmp(in.data(), logMagic, sizeof(logMagic)) != 0)
-        return fail("bad log magic");
-    u64 pos = sizeof(logMagic);
-    u64 v = 0;
-    if (!get64(in, pos, v) || v != logVersion)
-        return fail("unsupported log version");
-    FuzzOptions o;
-    u64 inject = 0, plant = 0;
-    if (!get64(in, pos, o.seed) || !get64(in, pos, o.cases) ||
-        !get64(in, pos, o.opsPerCase) || !get64(in, pos, inject) ||
-        !get64(in, pos, o.checkEvery) || !get64(in, pos, plant) ||
-        !get64(in, pos, o.frameCapacity) ||
-        !get64(in, pos, o.swapSlotBudget) || !get64(in, pos, o.multiProc))
-        return fail("truncated log header");
-    o.inject = inject != 0;
-    o.plantSlotBug = plant != 0;
-    u64 count = 0;
-    if (!get64(in, pos, count) || count > in.size())
-        return fail("corrupt log entry count");
-    std::vector<Entry> parsed;
-    parsed.reserve(count);
-    for (u64 i = 0; i < count; ++i) {
-        if (pos >= in.size())
-            return fail("truncated log");
-        Entry e;
-        e.tag = in[pos++];
-        if (e.tag < TAG_RNG || e.tag > TAG_END)
-            return fail("corrupt log entry tag");
-        if (!get64(in, pos, e.a) || !get64(in, pos, e.b))
-            return fail("truncated log entry");
-        if (e.tag == TAG_QUIESCE) {
-            if (!get64(in, pos, e.code) || !get64(in, pos, e.regHash) ||
-                !get64(in, pos, e.frames) || !get64(in, pos, e.slots) ||
-                !get64(in, pos, e.statsHash))
-                return fail("truncated quiesce entry");
+    try {
+        snap::Reader ar(in);
+        FuzzOptions o;
+        u64 count = 0;
+        ioPreamble(ar, o, count);
+        if (count > in.size())
+            throw snap::ParseError("corrupt log entry count");
+        std::vector<Entry> parsed;
+        parsed.reserve(count);
+        for (u64 i = 0; i < count; ++i) {
+            Entry e;
+            ioEntry(ar, e);
+            parsed.push_back(e);
         }
-        parsed.push_back(e);
+        hdrOpts = o;
+        log = std::move(parsed);
+        entries = log.size();
+        cursor = 0;
+        return true;
+    } catch (const snap::ParseError &e) {
+        if (error)
+            *error = e.msg;
+        return false;
     }
-    hdrOpts = o;
-    log = std::move(parsed);
-    entries = log.size();
-    cursor = 0;
-    return true;
 }
 
 std::string

@@ -361,22 +361,12 @@ Metrics::toJson() const
 
     // Checking-layer counters (v4 schema addition).
     w.key("check").beginObject();
-    w.key("oracle_runs").value(chk.oracleRuns);
-    w.key("oracle_violations").value(chk.oracleViolations);
-    w.key("fuzz_cases").value(chk.fuzzCases);
-    w.key("fuzz_divergences").value(chk.fuzzDivergences);
+    emitFields(w, chk);
     w.endObject();
 
     // Snapshot/replay counters (v8 schema addition).
     w.key("snapshot").beginObject();
-    w.key("snapshots_taken").value(snp.snapshotsTaken);
-    w.key("snapshot_bytes").value(snp.snapshotBytes);
-    w.key("restores").value(snp.restores);
-    w.key("restore_failures").value(snp.restoreFailures);
-    w.key("records").value(snp.records);
-    w.key("replays").value(snp.replays);
-    w.key("replay_divergences").value(snp.replayDivergences);
-    w.key("log_entries").value(snp.logEntries);
+    emitFields(w, snp);
     w.endObject();
 
     // Kernel-hardening counters (v9 schema addition): structured

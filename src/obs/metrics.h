@@ -114,7 +114,9 @@ struct FaultRecord
 
 /** Snapshot/replay telemetry (src/os/snapshot + src/check/replay):
  *  checkpoint traffic and replay-oracle outcomes, exported in the
- *  "snapshot" section of the v8 schema. */
+ *  "snapshot" section of the v8 schema.  visit() lists the fields once
+ *  (JSON key, counter) for the emitter and the image, as os/stats.h
+ *  does for the kernel's sets. */
 struct SnapshotCounters
 {
     u64 snapshotsTaken = 0;    ///< successful snap::save calls
@@ -125,16 +127,41 @@ struct SnapshotCounters
     u64 replays = 0;           ///< replay-mode sessions finished
     u64 replayDivergences = 0; ///< ReplayOracle divergences reported
     u64 logEntries = 0;        ///< replay-log entries written or read
+
+    template <class F>
+    void
+    visit(F &&f)
+    {
+        f("snapshots_taken", snapshotsTaken);
+        f("snapshot_bytes", snapshotBytes);
+        f("restores", restores);
+        f("restore_failures", restoreFailures);
+        f("records", records);
+        f("replays", replays);
+        f("replay_divergences", replayDivergences);
+        f("log_entries", logEntries);
+    }
 };
 
 /** Checking-layer telemetry (src/check): oracle runs and fuzzer
- *  progress, exported in the "check" section of the v4 schema. */
+ *  progress, exported in the "check" section of the v4 schema; fields
+ *  listed once in visit(). */
 struct CheckCounters
 {
     u64 oracleRuns = 0;       ///< Invariants::check invocations
     u64 oracleViolations = 0; ///< violations across all runs
     u64 fuzzCases = 0;        ///< differential cases executed
     u64 fuzzDivergences = 0;  ///< cases whose ABI runs diverged
+
+    template <class F>
+    void
+    visit(F &&f)
+    {
+        f("oracle_runs", oracleRuns);
+        f("oracle_violations", oracleViolations);
+        f("fuzz_cases", fuzzCases);
+        f("fuzz_divergences", fuzzDivergences);
+    }
 };
 
 /** Labelled snapshot of a process's cost model and cache counters. */

@@ -1,8 +1,10 @@
 #include "os/coredump.h"
 
 #include <cstring>
+#include <utility>
 
 #include "os/process.h"
+#include "os/snapshot/archive.h"
 
 namespace cheri
 {
@@ -12,71 +14,73 @@ namespace
 
 constexpr char coreMagic[8] = {'M', 'B', 'S', 'D', 'C', 'O', 'R', 'E'};
 
-/** Append POD @p v to @p out. */
-template <typename T>
-void
-put(std::vector<u8> &out, const T &v)
-{
-    static_assert(std::is_trivially_copyable_v<T>);
-    const u8 *p = reinterpret_cast<const u8 *>(&v);
-    out.insert(out.end(), p, p + sizeof(T));
-}
-
-template <typename T>
-bool
-get(const std::vector<u8> &in, size_t &off, T *v)
-{
-    if (off + sizeof(T) > in.size())
-        return false;
-    std::memcpy(v, in.data() + off, sizeof(T));
-    off += sizeof(T);
-    return true;
-}
-
 /**
- * Serialized capability *value*: everything a debugger wants to see.
- * This is data about a capability, not a capability — reading a core
- * file can never mint authority.
+ * A capability *value* as a 40-byte record: tag and sealed bytes,
+ * perms, otype, then base, top (saturated to 2^64-1) and address, with
+ * zero padding.  This is data about a capability, not a capability —
+ * reading a core file can never mint authority: the value comes back
+ * untagged, rebuilt with root-derived bounds, and the tag/perm
+ * metadata is shown from the record.
  */
-struct CapRecord
+template <class Ar, class T>
+void
+ioCap(Ar &ar, T &c)
 {
-    u8 tag;
-    u8 sealed;
-    u32 perms;
-    u32 otype;
-    u64 base;
-    u64 top; // saturated to 2^64-1
-    u64 address;
-};
-
-CapRecord
-recordOf(const Capability &c)
-{
-    CapRecord r{};
-    r.tag = c.tag();
-    r.sealed = c.sealed();
-    r.perms = c.perms();
-    r.otype = c.otype();
-    r.base = c.base();
-    r.top = c.top() > u128{~u64{0}} ? ~u64{0}
-                                    : static_cast<u64>(c.top());
-    r.address = c.address();
-    return r;
+    u8 tag = 0, sealed = 0;
+    u16 pad16 = 0;
+    u32 perms = 0, otype = 0, pad32 = 0;
+    u64 base = 0, top = 0, address = 0;
+    if constexpr (Ar::saving) {
+        tag = c.tag();
+        sealed = c.sealed();
+        perms = c.perms();
+        otype = c.otype();
+        base = c.base();
+        top = c.top() > u128{~u64{0}} ? ~u64{0} : static_cast<u64>(c.top());
+        address = c.address();
+    }
+    ar.u8(tag, sealed);
+    ar.u16(pad16);
+    ar.u32(perms, otype, pad32);
+    ar.u64(base, top, address);
+    if constexpr (Ar::loading) {
+        Capability v = Capability::root().setAddress(base);
+        auto b = v.setBounds(top - base);
+        Capability shaped = b.ok() ? b.value() : v;
+        auto p = shaped.andPerms(perms);
+        if (p.ok())
+            shaped = p.value();
+        c = shaped.setAddress(address).withoutTag();
+    }
 }
 
-/** Rebuild the *value* (always untagged) for display. */
-Capability
-valueOf(const CapRecord &r)
+/** The core file's layout, listed once for writing and reading. */
+template <class Ar, class C>
+void
+ioCore(Ar &ar, C &core)
 {
-    // Reconstruct a same-shaped untagged capability via root-derived
-    // bounds; the tag/perm metadata rides alongside in CoreDump.
-    Capability c = Capability::root().setAddress(r.base);
-    auto b = c.setBounds(r.top - r.base);
-    Capability shaped = b.ok() ? b.value() : c;
-    auto p = shaped.andPerms(r.perms);
-    if (p.ok())
-        shaped = p.value();
-    return shaped.setAddress(r.address).withoutTag();
+    char magic[sizeof(coreMagic)];
+    std::memcpy(magic, coreMagic, sizeof(magic));
+    ar.bytes(magic, sizeof(magic));
+    if (std::memcmp(magic, coreMagic, sizeof(magic)) != 0)
+        throw snap::ParseError("bad core magic");
+    ar.u64(core.pid);
+    ar.str(core.name);
+    ar.u32(core.signal, core.fault);
+    ar.u64(core.faultAddr);
+    // Register file: pcc, ddc, c[0..31], x[0..31].
+    ioCap(ar, core.regs.pcc);
+    ioCap(ar, core.regs.ddc);
+    for (auto &c : core.regs.c)
+        ioCap(ar, c);
+    for (auto &x : core.regs.x)
+        ar.u64(x);
+    // Memory map.
+    snap::seq(ar, core.mappings, [&](auto &m) {
+        ar.u64(m.start, m.len);
+        ar.u32(m.prot, m.kind);
+        ar.str(m.name);
+    });
 }
 
 } // namespace
@@ -84,104 +88,33 @@ valueOf(const CapRecord &r)
 void
 writeCoreFile(const Process &proc, VNode &node)
 {
-    std::vector<u8> out;
-    out.insert(out.end(), coreMagic, coreMagic + 8);
-    put(out, proc.pid());
-    u64 name_len = proc.name().size();
-    put(out, name_len);
-    out.insert(out.end(), proc.name().begin(), proc.name().end());
-    const auto &death = proc.death();
-    put<u32>(out, death ? static_cast<u32>(death->signal) : 0);
-    put<u32>(out, death ? static_cast<u32>(death->fault) : 0);
-    put<u64>(out, death ? death->faultAddr : 0);
-    // Register file: pcc, ddc, c[0..31], x[0..31].
-    put(out, recordOf(proc.regs().pcc));
-    put(out, recordOf(proc.regs().ddc));
-    for (const Capability &c : proc.regs().c)
-        put(out, recordOf(c));
-    for (u64 x : proc.regs().x)
-        put(out, x);
-    // Memory map.
-    std::vector<Mapping> maps;
-    proc.as().forEachMapping(
-        [&](const Mapping &m) { maps.push_back(m); });
-    put<u64>(out, maps.size());
-    for (const Mapping &m : maps) {
-        put(out, m.start);
-        put(out, m.len);
-        put(out, m.prot);
-        put<u32>(out, static_cast<u32>(m.kind));
-        u64 nlen = m.name.size();
-        put(out, nlen);
-        out.insert(out.end(), m.name.begin(), m.name.end());
+    CoreDump core;
+    core.pid = proc.pid();
+    core.name = proc.name();
+    if (const auto &death = proc.death()) {
+        core.signal = death->signal;
+        core.fault = death->fault;
+        core.faultAddr = death->faultAddr;
     }
-    node.data = std::move(out);
+    core.regs = proc.regs();
+    proc.as().forEachMapping(
+        [&](const Mapping &m) { core.mappings.push_back(m); });
+    snap::Writer ar;
+    ioCore(ar, std::as_const(core));
+    node.data = ar.take();
 }
 
 std::optional<CoreDump>
 readCoreFile(const VNode &node)
 {
-    const std::vector<u8> &in = node.data;
-    size_t off = 0;
-    char magic[8];
-    if (in.size() < 8)
-        return std::nullopt;
-    std::memcpy(magic, in.data(), 8);
-    off = 8;
-    if (std::memcmp(magic, coreMagic, 8) != 0)
-        return std::nullopt;
-    CoreDump core;
-    u64 name_len = 0;
-    if (!get(in, off, &core.pid) || !get(in, off, &name_len))
-        return std::nullopt;
-    if (off + name_len > in.size())
-        return std::nullopt;
-    core.name.assign(reinterpret_cast<const char *>(in.data() + off),
-                     name_len);
-    off += name_len;
-    u32 sig = 0, fault = 0;
-    if (!get(in, off, &sig) || !get(in, off, &fault) ||
-        !get(in, off, &core.faultAddr)) {
+    try {
+        snap::Reader ar(node.data);
+        CoreDump core;
+        ioCore(ar, core);
+        return core;
+    } catch (const snap::ParseError &) {
         return std::nullopt;
     }
-    core.signal = static_cast<int>(sig);
-    core.fault = static_cast<CapFault>(fault);
-    auto read_cap = [&](Capability *c) {
-        CapRecord r;
-        if (!get(in, off, &r))
-            return false;
-        *c = valueOf(r);
-        return true;
-    };
-    if (!read_cap(&core.regs.pcc) || !read_cap(&core.regs.ddc))
-        return std::nullopt;
-    for (Capability &c : core.regs.c) {
-        if (!read_cap(&c))
-            return std::nullopt;
-    }
-    for (u64 &x : core.regs.x) {
-        if (!get(in, off, &x))
-            return std::nullopt;
-    }
-    u64 nmaps = 0;
-    if (!get(in, off, &nmaps))
-        return std::nullopt;
-    for (u64 i = 0; i < nmaps; ++i) {
-        Mapping m;
-        u32 kind = 0;
-        u64 nlen = 0;
-        if (!get(in, off, &m.start) || !get(in, off, &m.len) ||
-            !get(in, off, &m.prot) || !get(in, off, &kind) ||
-            !get(in, off, &nlen) || off + nlen > in.size()) {
-            return std::nullopt;
-        }
-        m.kind = static_cast<MappingKind>(kind);
-        m.name.assign(reinterpret_cast<const char *>(in.data() + off),
-                      nlen);
-        off += nlen;
-        core.mappings.push_back(m);
-    }
-    return core;
 }
 
 } // namespace cheri

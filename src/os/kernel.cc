@@ -797,19 +797,8 @@ Kernel::buildPanicReport(const panic::KassertInfo &info) const
 }
 
 void
-Kernel::panicReset()
+Kernel::resetToBaseline()
 {
-    // Teardown must be immune to further kasserts: anything that fails
-    // below has no second capture to corrupt.
-    panicInProgress = true;
-    const HardeningStats kept = hardStats;
-    // Scheduler contexts reference Process objects; retire them before
-    // the process table goes.
-    if (schedIface)
-        schedIface->resetForPanic();
-    // Wake edges fired by dying channels must not reach the scheduler
-    // while the tables are in flux.
-    kernelReady = false;
     // Destroying an AddressSpace detaches its MemAccess listeners and
     // discards its swap slots, so clearing the table returns every
     // frame and slot to the pools.
@@ -837,6 +826,23 @@ Kernel::panicReset()
     swap.resetAccounting();
     fs = Vfs();
     initVfs();
+}
+
+void
+Kernel::panicReset()
+{
+    // Teardown must be immune to further kasserts: anything that fails
+    // below has no second capture to corrupt.
+    panicInProgress = true;
+    const HardeningStats kept = hardStats;
+    // Scheduler contexts reference Process objects; retire them before
+    // the process table goes.
+    if (schedIface)
+        schedIface->resetForPanic();
+    // Wake edges fired by dying channels must not reach the scheduler
+    // while the tables are in flux.
+    kernelReady = false;
+    resetToBaseline();
     // The registry starts over with the empty kernel; it reads the
     // hardening counters, which deliberately survive, from here.
     if (mx)

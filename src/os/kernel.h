@@ -686,8 +686,17 @@ class Kernel final : private panic::Sink, public CounterOwner
     /** PhysMem/SwapDevice corruption-hook target: count the machine
      *  check and feed the flight recorder. */
     void noteMachineCheck(FaultPoint point, u64 addr);
-    /** (Re)build the default VFS tree (constructor and panicReset). */
+    /** (Re)build the default VFS tree (constructor and baseline). */
     void initVfs();
+    /**
+     * The empty-kernel baseline a panic reset and a failed snapshot
+     * restore both land on: every process and kernel table dropped,
+     * every counter set but the hardening counters zeroed, id
+     * allocators, injector arms and phys/swap accounting reset, and the
+     * constructor's VFS tree rebuilt.  Scheduler contexts hold Process
+     * references, so callers retire them first.
+     */
+    void resetToBaseline();
     /// @}
 
     /** @name Revocation epoch machinery (os/revocation.cc)

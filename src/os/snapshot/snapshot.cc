@@ -9,23 +9,31 @@
  * truncated image fails cleanly partway through and the abort path
  * (resetToEmpty) can always rebuild a usable kernel.
  *
- * Reading is bounds-checked at every step: a corrupt or truncated image
- * raises an internal ParseError, never a host fault, and forged counts
- * cannot allocate past the image's own size.
+ * Save and restore walk the same code: each serialized type lists its
+ * fields once, in an `io(Ar &, T &)` template over the symmetric
+ * archive (archive.h), and sections() lays out the whole image for both
+ * directions.  What stays one-way is only what has no counterpart:
+ * save's refusals and reachability census (which number the shared
+ * frames, channels, vnodes and open files), and restore's object
+ * construction, id-to-object lookups with their range checks, and the
+ * commit once the whole image has parsed.
  */
 
 #include "os/snapshot/snapshot.h"
 
+#include <concepts>
 #include <cstring>
 #include <functional>
 #include <map>
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "os/kernel.h"
 #include "os/sched/sched.h"
+#include "os/snapshot/archive.h"
 
 namespace cheri::snap
 {
@@ -51,149 +59,46 @@ enum SectionTag : u32
     SEC_END,
 };
 
-struct Writer
+/** @p T is @p U, or const @p U when saving. */
+template <class T, class U>
+concept Is = std::same_as<std::remove_const_t<T>, U>;
+
+/**
+ * Shared objects (frames, channels, vnodes, open files) appear once in
+ * the image and are referenced by 1-based id, 0 meaning null.  Save
+ * numbers them in census order; restore collects them as their section
+ * creates them.  obj[id] is the object either way.
+ */
+template <class T>
+struct Ids
 {
-    std::vector<u8> out;
+    std::vector<std::shared_ptr<T>> obj{nullptr};
+    /** Save only: object to id. */
+    std::map<const T *, u32> id;
 
-    void put8(u8 v) { out.push_back(v); }
-    void putBool(bool v) { out.push_back(v ? 1 : 0); }
-    void
-    put16(u16 v)
-    {
-        put8(static_cast<u8>(v));
-        put8(static_cast<u8>(v >> 8));
-    }
-    void
-    put32(u32 v)
-    {
-        for (int i = 0; i < 4; ++i)
-            put8(static_cast<u8>(v >> (8 * i)));
-    }
-    void
-    put64(u64 v)
-    {
-        for (int i = 0; i < 8; ++i)
-            put8(static_cast<u8>(v >> (8 * i)));
-    }
-    void
-    putBytes(const void *p, u64 n)
-    {
-        const u8 *b = static_cast<const u8 *>(p);
-        out.insert(out.end(), b, b + n);
-    }
-    void
-    putStr(const std::string &s)
-    {
-        put64(s.size());
-        putBytes(s.data(), s.size());
-    }
-};
-
-/** Internal parse failure; caught at the restore top level only. */
-struct ParseError
-{
-    explicit ParseError(std::string m) : msg(std::move(m)) {}
-    std::string msg;
-};
-
-class Reader
-{
-  public:
-    explicit Reader(const std::vector<u8> &v)
-        : p(v.data()), end(v.data() + v.size())
-    {
-    }
-
-    u64 remaining() const { return static_cast<u64>(end - p); }
-
-    void
-    need(u64 n)
-    {
-        if (remaining() < n)
-            throw ParseError("truncated image");
-    }
-    u8
-    get8()
-    {
-        need(1);
-        return *p++;
-    }
+    /** Number @p p if it is new; false for null or already numbered. */
     bool
-    getBool()
+    note(const std::shared_ptr<T> &p)
     {
-        u8 v = get8();
-        if (v > 1)
-            throw ParseError("corrupt boolean");
-        return v != 0;
-    }
-    u16
-    get16()
-    {
-        u16 v = get8();
-        v |= static_cast<u16>(get8()) << 8;
-        return v;
-    }
-    u32
-    get32()
-    {
-        u32 v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<u32>(get8()) << (8 * i);
-        return v;
-    }
-    u64
-    get64()
-    {
-        u64 v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<u64>(get8()) << (8 * i);
-        return v;
-    }
-    void
-    getBytes(void *dst, u64 n)
-    {
-        need(n);
-        std::memcpy(dst, p, n);
-        p += n;
-    }
-    std::string
-    getStr()
-    {
-        u64 n = get64();
-        need(n);
-        std::string s(reinterpret_cast<const char *>(p), n);
-        p += n;
-        return s;
-    }
-    /** Enum byte with an inclusive upper bound. */
-    u8
-    getEnum(u8 max, const char *what)
-    {
-        u8 v = get8();
-        if (v > max)
-            throw ParseError(std::string("corrupt enum value: ") + what);
-        return v;
-    }
-    /** Element count: bounded by the bytes left, so a forged count can
-     *  never drive an allocation past the image's own size. */
-    u64
-    getCount()
-    {
-        u64 n = get64();
-        if (n > remaining())
-            throw ParseError("corrupt element count");
-        return n;
-    }
-    void
-    expect(u32 tag, const char *what)
-    {
-        if (get32() != tag)
-            throw ParseError(std::string("bad section tag: ") + what);
+        if (!p || id.count(p.get()))
+            return false;
+        id[p.get()] = static_cast<u32>(obj.size());
+        obj.push_back(p);
+        return true;
     }
 
-  private:
-    const u8 *p;
-    const u8 *end;
+    u64 size() const { return obj.size() - 1; }
+};
+
+/** What the AddressSpace and Process constructors need: read before
+ *  either object exists. */
+struct Identity
+{
+    u64 pid = 0;
+    u64 ppid = 0;
+    Abi abi = Abi::Mips64;
+    std::string name;
+    MachineFeatures features;
 };
 
 std::vector<u8>
@@ -208,132 +113,838 @@ refuse(std::string *error, std::string msg)
 
 struct Access
 {
-    /** @name Leaf value serializers */
+    /** Everything the sections share beyond the kernel itself. */
+    struct Tables
+    {
+        Ids<Frame> frames;
+        Ids<ByteChannel> chans;
+        Ids<VNode> nodes;
+        Ids<OpenFile> files;
+        /** Save: the kernel's.  Restore: applied at commit. */
+        KernelConfig cfg;
+        /** Highest channel wait token; restore reserves past it. */
+        u64 maxWaitToken = 0;
+        /** Save: the scheduler to capture (null when none). */
+        const sched::Scheduler *sched = nullptr;
+        /** Restore: the image carried a metrics section. */
+        bool hadMetrics = false;
+    };
+
+    /** @name Containers (sequences are archive.h's seq) */
     /// @{
+    /** A keyed table: its count, then each (key, value) through @p fn,
+     *  in key order.  Restore replaces the contents; a repeated key
+     *  keeps its last value. */
+    template <class Ar, class M, class Fn>
     static void
-    putCap(Writer &w, const Capability &c)
+    entries(Ar &ar, M &m, Fn &&fn)
     {
-        w.putBool(c._tag);
-        w.put64(c._base);
-        w.put64(static_cast<u64>(c._top));
-        w.put64(static_cast<u64>(c._top >> 64));
-        w.put64(c._address);
-        w.put32(c._perms);
-        w.put32(static_cast<u32>(c._otype));
-        w.put8(static_cast<u8>(c._format));
-        w.put64(c._rawMeta);
-        w.putBool(c._hasRawMeta);
+        u64 n = m.size();
+        ar.count(n);
+        if constexpr (Ar::loading) {
+            m.clear();
+            for (u64 i = 0; i < n; ++i) {
+                typename M::key_type k{};
+                typename M::mapped_type v{};
+                fn(k, v);
+                m.insert_or_assign(m.end(), std::move(k), std::move(v));
+            }
+        } else {
+            for (auto &[k, v] : m)
+                fn(k, v);
+        }
     }
 
-    static Capability
-    getCap(Reader &r)
-    {
-        Capability c;
-        c._tag = r.getBool();
-        c._base = r.get64();
-        u64 lo = r.get64();
-        u64 hi = r.get64();
-        c._top = (static_cast<u128>(hi) << 64) | lo;
-        c._address = r.get64();
-        c._perms = r.get32();
-        c._otype = static_cast<OType>(r.get32());
-        c._format =
-            static_cast<compress::CapFormat>(r.getEnum(1, "cap format"));
-        c._rawMeta = r.get64();
-        c._hasRawMeta = r.getBool();
-        return c;
-    }
-
+    /** A shared-object table: its count, then each object's record
+     *  through @p fn.  Restore creates each object with @p make just
+     *  before its record, or all of them first when records refer to
+     *  later ones (@p upfront). */
+    template <class Ar, class T, class Make, class Fn>
     static void
-    putRegs(Writer &w, const ThreadRegs &t)
+    objects(Ar &ar, Ids<T> &ids, Make &&make, Fn &&fn, bool upfront = false)
     {
-        putCap(w, t.pcc);
-        putCap(w, t.ddc);
-        for (const Capability &c : t.c)
-            putCap(w, c);
-        for (u64 x : t.x)
-            w.put64(x);
+        u64 n = ids.size();
+        ar.count(n);
+        if constexpr (Ar::loading) {
+            ids.obj.reserve(n + 1);
+            for (u64 i = 0; upfront && i < n; ++i)
+                ids.obj.push_back(make());
+        }
+        for (u64 i = 1; i <= n; ++i) {
+            if constexpr (Ar::loading) {
+                if (!upfront)
+                    ids.obj.push_back(make());
+                fn(*ids.obj[i]);
+            } else {
+                fn(std::as_const(*ids.obj[i]));
+            }
+        }
     }
 
+    /** A reference to a shared object, by id.  Restore range-checks it
+     *  (and rejects null unless @p nullable) as soon as it is read. */
+    template <class Ar, class P, class T>
     static void
-    getRegs(Reader &r, ThreadRegs &t)
+    ref(Ar &ar, P &p, Ids<T> &ids, const char *corrupt, bool nullable = true)
     {
-        t.pcc = getCap(r);
-        t.ddc = getCap(r);
-        for (Capability &c : t.c)
-            c = getCap(r);
-        for (u64 &x : t.x)
-            x = r.get64();
-    }
-
-    static void
-    putResult(Writer &w, const isa::InterpResult &res)
-    {
-        w.put8(static_cast<u8>(res.status));
-        w.put64(res.steps);
-        w.put8(static_cast<u8>(res.fault));
-        w.put64(res.faultPc);
-        w.put64(res.faultAddr);
-        w.put8(static_cast<u8>(res.faultOp));
-    }
-
-    static isa::InterpResult
-    getResult(Reader &r)
-    {
-        isa::InterpResult res;
-        res.status =
-            static_cast<isa::InterpResult::Status>(r.getEnum(4, "status"));
-        res.steps = r.get64();
-        res.fault = static_cast<CapFault>(
-            r.getEnum(static_cast<u8>(numCapFaults - 1), "fault"));
-        res.faultPc = r.get64();
-        res.faultAddr = r.get64();
-        res.faultOp = static_cast<isa::Op>(r.get8());
-        return res;
-    }
-
-    static void
-    putHistogram(Writer &w, const obs::Histogram &h)
-    {
-        for (u64 b : h.buckets)
-            w.put64(b);
-        w.put64(h.count);
-        w.put64(h.sum);
-        w.put64(h.min);
-        w.put64(h.max);
-    }
-
-    static void
-    getHistogram(Reader &r, obs::Histogram &h)
-    {
-        for (u64 &b : h.buckets)
-            b = r.get64();
-        h.count = r.get64();
-        h.sum = r.get64();
-        h.min = r.get64();
-        h.max = r.get64();
+        u32 id = 0;
+        if constexpr (Ar::saving)
+            id = p ? ids.id.at(p.get()) : 0;
+        ar.u32(id);
+        if constexpr (Ar::loading) {
+            if ((id == 0 && !nullable) || id > ids.size())
+                throw ParseError(corrupt);
+            p = ids.obj[id];
+        }
     }
 
     /** A counter set, field by field in its visit() order. */
-    template <class S>
+    template <class Ar, class S>
     static void
-    putStats(Writer &w, S set)
+    counters(Ar &ar, S &set)
     {
-        set.visit([&](std::string_view, u64 &v) { w.put64(v); });
-    }
-
-    template <class S>
-    static void
-    getStats(Reader &r, S &set)
-    {
-        set.visit([&](std::string_view, u64 &v) { v = r.get64(); });
+        auto each = [&ar](std::string_view, u64 &v) { ar.u64(v); };
+        if constexpr (Ar::saving)
+            std::remove_const_t<S>(set).visit(each);
+        else
+            set.visit(each);
     }
     /// @}
+
+    /** @name Field lists, one per serialized type */
+    /// @{
+    template <class Ar, Is<Capability> T>
+    static void
+    io(Ar &ar, T &c)
+    {
+        u64 lo = static_cast<u64>(c._top);
+        u64 hi = static_cast<u64>(c._top >> 64);
+        ar.flag(c._tag);
+        ar.u64(c._base, lo, hi, c._address);
+        ar.u32(c._perms, c._otype);
+        ar.enumeration(c._format, 1, "cap format");
+        ar.u64(c._rawMeta);
+        ar.flag(c._hasRawMeta);
+        if constexpr (Ar::loading)
+            c._top = (static_cast<u128>(hi) << 64) | lo;
+    }
+
+    template <class Ar, Is<ThreadRegs> T>
+    static void
+    io(Ar &ar, T &t)
+    {
+        io(ar, t.pcc);
+        io(ar, t.ddc);
+        for (auto &c : t.c)
+            io(ar, c);
+        for (auto &x : t.x)
+            ar.u64(x);
+    }
+
+    template <class Ar, Is<isa::InterpResult> T>
+    static void
+    io(Ar &ar, T &res)
+    {
+        ar.enumeration(res.status, 4, "status");
+        ar.u64(res.steps);
+        ar.enumeration(res.fault, numCapFaults - 1, "fault");
+        ar.u64(res.faultPc, res.faultAddr);
+        ar.u8(res.faultOp);
+    }
+
+    template <class Ar, Is<obs::Histogram> T>
+    static void
+    io(Ar &ar, T &h)
+    {
+        for (auto &b : h.buckets)
+            ar.u64(b);
+        ar.u64(h.count, h.sum, h.min, h.max);
+    }
+
+    template <class Ar, Is<MachineFeatures> T>
+    static void
+    io(Ar &ar, T &f)
+    {
+        ar.flag(f.largeClcImmediate, f.asanInstrumentation);
+    }
+
+    /** The config section: restore applies it only at commit. */
+    template <class Ar, Is<KernelConfig> T>
+    static void
+    io(Ar &ar, T &cfg)
+    {
+        ar.enumeration(cfg.capFormat, 1, "cap format");
+        ar.enumeration(cfg.swapPolicy, 1, "swap policy");
+        io(ar, cfg.features);
+        ar.u64(cfg.stackSize, cfg.aslrSeed, cfg.frameCapacity,
+               cfg.swapSlotBudget, cfg.revokeSliceBudget,
+               cfg.timeSliceSteps);
+    }
+
+    /** Physical-memory accounting (the frames themselves follow). */
+    template <class Ar, Is<PhysMem> T>
+    static void
+    io(Ar &ar, T &phys)
+    {
+        ar.u64(phys.allocated, phys.failed, phys.reclaims, phys.capacity);
+    }
+
+    /** A frame: its bytes in one bulk copy, then its tagged granules.
+     *  The tag list is walked by forEachTagged on save and re-planted
+     *  by writeCap on restore — bytes first, because Frame::write
+     *  clears the tags of every granule it touches. */
+    template <class Ar, Is<Frame> T>
+    static void
+    io(Ar &ar, T &f)
+    {
+        u64 nTags = f.taggedCount();
+        if constexpr (Ar::saving) {
+            ar.bytes(f.bytes().data(), pageSize);
+            ar.count(nTags);
+            f.forEachTagged([&](u64 off, const Capability &c) {
+                ar.u64(off);
+                io(ar, c);
+            });
+        } else {
+            std::array<u8, pageSize> buf;
+            ar.bytes(buf.data(), pageSize);
+            f.write(0, buf.data(), pageSize);
+            ar.count(nTags);
+            for (u64 i = 0; i < nTags; ++i) {
+                u64 off = 0;
+                ar.u64(off);
+                if (off >= pageSize || off % capSize != 0)
+                    throw ParseError("corrupt tag offset");
+                Capability c;
+                io(ar, c);
+                f.writeCap(off, c);
+            }
+        }
+    }
+
+    /** Swap-device scalars and its slot table, in slot order. */
+    template <class Ar, Is<SwapDevice> T>
+    static void
+    io(Ar &ar, T &swap)
+    {
+        ar.enumeration(swap._policy, 1, "swap policy");
+        ar.u64(swap.budget, swap.nextSlot, swap.swapOuts, swap.tagsPreserved,
+               swap.swapOutFailures, swap.swapInFailures,
+               swap.sweepScanFailures, swap.discards);
+        auto slot = [&](auto &id, auto &s) {
+            ar.u64(id);
+            ar.bytes(s.bytes.data(), pageSize);
+            seq(ar, s.tagMeta, [&](auto &tm) {
+                ar.u64(tm.first);
+                io(ar, tm.second);
+            });
+            ar.u64(s.refs);
+        };
+        u64 n = swap.slots.size();
+        ar.count(n);
+        if constexpr (Ar::saving) {
+            // unordered_map: emit in sorted slot order for determinism.
+            std::map<u64, const SwapDevice::Slot *> sorted;
+            for (const auto &[id, s] : swap.slots)
+                sorted[id] = &s;
+            for (auto [id, s] : sorted)
+                slot(id, *s);
+        } else {
+            for (u64 i = 0; i < n; ++i) {
+                u64 id = 0;
+                SwapDevice::Slot s;
+                slot(id, s);
+                if (!swap.slots.emplace(id, std::move(s)).second)
+                    throw ParseError("duplicate swap slot");
+            }
+        }
+    }
+
+    template <class Ar, Is<ByteChannel> T>
+    static void
+    io(Ar &ar, T &ch)
+    {
+        seq(ar, ch.buf, [&](auto &b) { ar.u8(b); });
+        ar.flag(ch.writerClosed, ch.readerClosed);
+        ar.u64(ch.readWait, ch.writeWait);
+    }
+
+    template <class Ar, Is<VNode> T>
+    static void
+    io(Ar &ar, T &n, Tables &t)
+    {
+        ar.enumeration(n.kind, 4, "node kind");
+        ar.str(n.name);
+        u64 len = n.data.size();
+        ar.count(len);
+        if constexpr (Ar::loading)
+            n.data.resize(len);
+        ar.bytes(n.data.data(), len);
+        entries(ar, n.children, [&](auto &name, auto &child) {
+            ar.str(name);
+            ref(ar, child, t.nodes, "corrupt vnode id", false);
+        });
+        ref(ar, n.readCh, t.chans, "corrupt channel id");
+        ref(ar, n.writeCh, t.chans, "corrupt channel id");
+    }
+
+    template <class Ar, Is<OpenFile> T>
+    static void
+    io(Ar &ar, T &of, Tables &t)
+    {
+        ref(ar, of.node, t.nodes, "corrupt vnode id", false);
+        ar.u64(of.offset);
+        ar.u32(of.flags);
+    }
+
+    template <class Ar, Is<Identity> T>
+    static void
+    io(Ar &ar, T &id)
+    {
+        ar.u64(id.pid, id.ppid);
+        ar.enumeration(id.abi, 2, "abi");
+        ar.str(id.name);
+        io(ar, id.features);
+    }
+
+    /** A mapping's fields after its start, which is its table key. */
+    template <class Ar, Is<Mapping> T>
+    static void
+    io(Ar &ar, T &m)
+    {
+        ar.u64(m.len);
+        ar.u32(m.prot);
+        ar.enumeration(m.kind, 9, "map kind");
+        ar.flag(m.shared);
+        ar.str(m.name);
+        ar.u64(m.backingOffset);
+    }
+
+    template <class Ar, Is<AddressSpace::Pte> T>
+    static void
+    io(Ar &ar, T &pte, Tables &t)
+    {
+        ref(ar, pte.frame, t.frames, "corrupt frame id");
+        ar.u32(pte.prot);
+        ar.flag(pte.cow, pte.shared, pte.swapped);
+        ar.u64(pte.swapSlot, pte.lastUse);
+        ar.flag(pte.capDirty);
+        ar.u64(pte.sweptEpoch, pte.queuedEpoch);
+    }
+
+    template <class Ar, Is<AddressSpace> T>
+    static void
+    io(Ar &ar, T &as, Tables &t)
+    {
+        ar.u64(as._principal, as.aslrSlide);
+        ar.enumeration(as.fmt, 1, "cap format");
+        io(ar, as.root);
+        ar.u64(as.useClock);
+        ar.enumeration(as.walkFault, numCapFaults - 1, "walk fault");
+        ar.u64(as.activeSweepEpoch);
+        seq(ar, as.redirtied, [&](auto &va) { ar.u64(va); });
+        entries(ar, as.mappings, [&](auto &start, auto &m) {
+            ar.u64(start);
+            if constexpr (Ar::loading)
+                m.start = start;
+            io(ar, m);
+        });
+        entries(ar, as.pages, [&](auto &va, auto &pte) {
+            ar.u64(va);
+            io(ar, pte, t);
+        });
+    }
+
+    /** Cache state.  The geometry is fixed by the cost model and is
+     *  written only to be checked. */
+    template <class Ar, Is<Cache> T>
+    static void
+    io(Ar &ar, T &c)
+    {
+        u64 lineBytes = c.lineBytes;
+        u64 numSets = c.numSets;
+        u32 ways = c.ways;
+        ar.u64(lineBytes, numSets);
+        ar.u32(ways);
+        if (lineBytes != c.lineBytes || numSets != c.numSets ||
+            ways != c.ways)
+            throw ParseError("cache geometry mismatch");
+        ar.u64(c.tick, c._hits, c._misses);
+        u64 nWays = c.sets.size();
+        ar.u64(nWays);
+        if (nWays != c.sets.size())
+            throw ParseError("cache way-array size mismatch");
+        for (auto &way : c.sets) {
+            ar.u64(way.tag);
+            ar.flag(way.valid);
+            ar.u64(way.lru);
+        }
+    }
+
+    /** Cost-model scalars and caches (the ABI, features and format
+     *  come from the process identity). */
+    template <class Ar, Is<CostModel> T>
+    static void
+    io(Ar &ar, T &cm)
+    {
+        ar.u64(cm._instructions, cm._cycles, cm._codeBytes,
+               cm._itlbAccesses, cm._itlbMisses, cm._dtlbAccesses,
+               cm._dtlbMisses, cm.pc, cm.codeFootprint);
+        for (auto *c :
+             {&cm.cacheHier.l1i, &cm.cacheHier.l1d, &cm.cacheHier.l2})
+            io(ar, *c);
+    }
+
+    template <class Ar, Is<ThreadRecord> T>
+    static void
+    io(Ar &ar, T &t)
+    {
+        ar.u64(t.tid);
+        io(ar, t.saved);
+        io(ar, t.stackCap);
+        ar.flag(t.live);
+    }
+
+    template <class Ar, Is<SigAction> T>
+    static void
+    io(Ar &ar, T &a)
+    {
+        ar.enumeration(a.kind, 2, "sigaction kind");
+        ar.u64(a.handlerId);
+    }
+
+    template <class Ar, Is<DeathInfo> T>
+    static void
+    io(Ar &ar, T &d)
+    {
+        ar.u32(d.signal);
+        ar.enumeration(d.fault, numCapFaults - 1, "death fault");
+        ar.u64(d.faultAddr);
+        ar.str(d.detail);
+        io(ar, d.faultCap);
+        ar.flag(d.faultCapKnown, d.deadlock);
+    }
+
+    /** A process after its identity and address space. */
+    template <class Ar, Is<Process> T>
+    static void
+    io(Ar &ar, T &p, Tables &t)
+    {
+        io(ar, p._regs);
+        io(ar, p._cost);
+        seq(ar, p.fds, [&](auto &of) {
+            ref(ar, of, t.files, "corrupt open-file id");
+        });
+        seq(ar, p.threads, [&](auto &th) { io(ar, th); });
+        ar.u64(p.curThread, p.nextTid);
+        // curThread is a tid, not an index: the main thread is tid 0
+        // and only spawned threads get records, so the only sound
+        // bound is the allocator's high-water mark.
+        if constexpr (Ar::loading) {
+            if (p.curThread >= p.nextTid)
+                throw ParseError("corrupt current-thread id");
+        }
+        for (auto &a : p.sigActions)
+            io(ar, a);
+        ar.u64(p.sigPending, p.sigMask);
+        for (auto *c : {&p.stackCap, &p.argvCap, &p.envvCap, &p.auxvCap,
+                        &p.trampolineCap})
+            io(ar, *c);
+        ar.u32(p.argc, p.envc);
+        ar.u64(p.heapHint, p.brkBase, p.brkCur, p.brkLimit);
+        ar.flag(p._exited);
+        ar.u32(p._exitStatus);
+        bool dead = p._death.has_value();
+        ar.flag(dead);
+        if (dead) {
+            if constexpr (Ar::loading)
+                p._death.emplace();
+            io(ar, *p._death);
+        }
+    }
+
+    template <class Ar, Is<KEvent> T>
+    static void
+    io(Ar &ar, T &e)
+    {
+        ar.u32(e.ident);
+        ar.u64(e.filter);
+        io(ar, e.udata);
+    }
+
+    template <class Ar, Is<RevocationEpoch> T>
+    static void
+    io(Ar &ar, T &ep)
+    {
+        auto range = [&](auto &r) { ar.u64(r.first, r.second); };
+        ar.flag(ep.open);
+        ar.u64(ep.id);
+        seq(ar, ep.ranges, range);
+        seq(ar, ep.worklist, [&](auto &va) { ar.u64(va); });
+        ar.flag(ep.forceFull, ep.incremental);
+        ar.u64(ep.revoked, ep.cyclesAtOpen);
+        seq(ar, ep.closedRanges, range);
+        ar.u64(ep.closeSeq);
+    }
+
+    /** An injector arm (the tap is environment, not state). */
+    template <class Ar, Is<FaultInjector::Arm> T>
+    static void
+    io(Ar &ar, T &arm)
+    {
+        ar.enumeration(arm.mode, 2, "inject mode");
+        ar.u64(arm.countdown, arm.period, arm.lcg, arm.seen, arm.fired);
+    }
+
+    template <class Ar, Is<obs::SyscallStats> T>
+    static void
+    io(Ar &ar, T &s)
+    {
+        ar.u64(s.calls, s.errors);
+        io(ar, s.cycles);
+    }
+
+    template <class Ar, Is<obs::FaultRecord> T>
+    static void
+    io(Ar &ar, T &f)
+    {
+        ar.enumeration(f.cause, numCapFaults - 1, "fault cause");
+        ar.u64(f.pc, f.addr);
+        ar.enumeration(f.abi, 2, "fault abi");
+        ar.u16(f.sysnum);
+        ar.enumeration(f.provenance, numDeriveSources - 1, "provenance");
+        ar.flag(f.provenanceKnown);
+    }
+
+    template <class Ar, Is<obs::CostSnapshot> T>
+    static void
+    io(Ar &ar, T &c)
+    {
+        ar.str(c.label);
+        ar.enumeration(c.abi, 2, "cost abi");
+        ar.u64(c.instructions, c.cycles, c.l1dMisses, c.l2Misses,
+               c.codeBytes, c.itlbMisses, c.dtlbMisses);
+    }
+
+    /** What the registry owns; the kernel's counter sets are the
+     *  kernel section's. */
+    template <class Ar, Is<obs::Metrics> T>
+    static void
+    io(Ar &ar, T &m)
+    {
+        for (auto &perAbi : m.sys)
+            for (auto &s : perAbi)
+                io(ar, s);
+        for (auto &perAbi : m.insnMix)
+            for (auto &v : perAbi)
+                ar.u64(v);
+        for (auto &perAbi : m.tlb)
+            for (auto &v : perAbi)
+                ar.u64(v);
+        seq(ar, m._faults, [&](auto &f) { io(ar, f); });
+        ar.u64(m.faultsDropped);
+        for (auto &v : m.faultsByCause)
+            ar.u64(v);
+        entries(ar, m._threadSteps, [&](auto &key, auto &steps) {
+            ar.u64(key.first, key.second, steps);
+        });
+        counters(ar, m.chk);
+        counters(ar, m.snp);
+        seq(ar, m.costs, [&](auto &c) { io(ar, c); });
+        for (auto &v : m.deriveCounts)
+            ar.u64(v);
+        entries(ar, m.provenance, [&](auto &key, auto &src) {
+            ar.u64(key.first, key.second);
+            ar.enumeration(src, numDeriveSources - 1, "provenance");
+        });
+        ar.u64(m.currentSys);
+        CounterTotals kept = m.kept;
+        kept.visitSets([&](auto &set) { counters(ar, set); });
+        if constexpr (Ar::loading)
+            m.kept = kept;
+    }
+
+    /** A scheduler context's scalars.  @p state and @p retired are
+     *  passed apart: save substitutes the running context's state and
+     *  reads the step count from its interpreter. */
+    template <class Ar, Is<sched::ExecContext> T>
+    static void
+    io(Ar &ar, T &ctx, sched::ExecContext::State &state, u64 &retired)
+    {
+        ar.u64(ctx.pid, ctx.tid);
+        ar.enumeration(state, 3, "context state");
+        ar.enumeration(ctx.blockKind, 4, "block kind");
+        ar.u64(ctx.blockArg);
+        ar.flag(ctx.restartOnWake);
+        seq(ar, ctx.fdChans, [&](auto &chan) { ar.u64(chan); });
+        ar.flag(ctx.fdDeadlineArmed);
+        ar.u64(ctx.fdDeadline);
+        ar.flag(ctx.fdTimedOut);
+        io(ar, ctx.last);
+        ar.u64(ctx.stepLimit, ctx.readyBaseSteps, ctx.slices, retired);
+    }
+
+    static sched::ExecContext *
+    findContext(sched::Scheduler &sch, u64 pid, u64 tid, const char *what)
+    {
+        auto it = sch.ctxs.find({pid, tid});
+        if (it == sch.ctxs.end())
+            throw ParseError(std::string("queue references unknown "
+                                         "context: ") +
+                             what);
+        return it->second.get();
+    }
+
+    /** A queued context, by its (pid, tid) key. */
+    template <class Ar, class S, class P>
+    static void
+    queued(Ar &ar, S &sch, P &ctx, const char *what)
+    {
+        u64 pid = 0, tid = 0;
+        if constexpr (Ar::saving) {
+            pid = ctx->pid;
+            tid = ctx->tid;
+        }
+        ar.u64(pid, tid);
+        if constexpr (Ar::loading)
+            ctx = findContext(sch, pid, tid, what);
+    }
+
+    template <class Ar, Is<sched::Scheduler> T, class K>
+    static void
+    io(Ar &ar, T &sch, K &kern)
+    {
+        using State = sched::ExecContext::State;
+        ar.u64(sch.vclock);
+        counters(ar, sch.st);
+        u64 nCtx = sch.ctxs.size();
+        ar.count(nCtx);
+        if constexpr (Ar::saving) {
+            for (const auto &[key, ctx] : sch.ctxs) {
+                // A mid-slice save serializes the running context as
+                // Runnable at the front of the run queue: the restored
+                // image resumes it from its current PC.
+                State state = ctx.get() == sch.current ? State::Runnable
+                                                       : ctx->state;
+                u64 retired = ctx->interp ? ctx->interp->_retired : 0;
+                io(ar, std::as_const(*ctx), state, retired);
+            }
+        } else {
+            for (u64 i = 0; i < nCtx; ++i) {
+                auto ctx = std::make_unique<sched::ExecContext>();
+                u64 retired = 0;
+                io(ar, *ctx, ctx->state, retired);
+                Process *proc = kern.findProcess(ctx->pid);
+                if (!proc)
+                    throw ParseError("context references unknown pid");
+                ctx->interp = std::make_unique<isa::Interpreter>(
+                    *proc, kern.traceSink);
+                isa::installDefaultSyscallHook(*ctx->interp, kern);
+                ctx->interp->_retired = retired;
+                std::pair<u64, u64> key{ctx->pid, ctx->tid};
+                if (!sch.ctxs.emplace(key, std::move(ctx)).second)
+                    throw ParseError("duplicate scheduler context");
+            }
+        }
+        // The run queue, with the running context (if any) at its
+        // front.
+        using Ptr = std::conditional_t<Ar::saving,
+                                       const sched::ExecContext *,
+                                       sched::ExecContext *>;
+        std::vector<Ptr> runq;
+        if constexpr (Ar::saving) {
+            if (sch.current)
+                runq.push_back(sch.current);
+            runq.insert(runq.end(), sch.runq.begin(), sch.runq.end());
+        }
+        seq(ar, runq, [&](auto &c) { queued(ar, sch, c, "run queue"); });
+        if constexpr (Ar::loading)
+            sch.runq.assign(runq.begin(), runq.end());
+        seq(ar, sch.blocked,
+            [&](auto &c) { queued(ar, sch, c, "blocked list"); });
+        // lastRan may point at an already-erased hosted context:
+        // compare addresses only, never dereference.
+        bool lastRanKnown = false;
+        std::pair<u64, u64> lastKey{0, 0};
+        if constexpr (Ar::saving) {
+            for (const auto &[key, ctx] : sch.ctxs) {
+                if (sch.lastRan && ctx.get() == sch.lastRan) {
+                    lastRanKnown = true;
+                    lastKey = key;
+                }
+            }
+        }
+        ar.flag(lastRanKnown);
+        ar.u64(lastKey.first, lastKey.second);
+        if constexpr (Ar::loading) {
+            if (lastRanKnown)
+                sch.lastRan = findContext(sch, lastKey.first,
+                                          lastKey.second, "lastRan");
+        }
+    }
+    /// @}
+
+    /** Magic and version: checked before restore touches the kernel. */
+    template <class Ar>
+    static void
+    header(Ar &ar)
+    {
+        char magic[sizeof(imageMagic)];
+        std::memcpy(magic, imageMagic, sizeof(magic));
+        ar.bytes(magic, sizeof(magic));
+        if (std::memcmp(magic, imageMagic, sizeof(magic)) != 0)
+            throw ParseError("bad magic");
+        u32 version = imageVersion;
+        ar.u32(version);
+        if (version != imageVersion)
+            throw ParseError("unsupported image version");
+    }
+
+    /** The image after its header, section by section, for both
+     *  directions.  Save passes a const kernel. */
+    template <class Ar, class K>
+    static void
+    sections(Ar &ar, K &kern, Tables &t)
+    {
+        ar.tag(SEC_CONFIG, "config");
+        const u32 layout[] = {numSysNums,      obs::Metrics::maxOps,
+                              numTlbCounters,  numCapFaults,
+                              numDeriveSources, numSignals,
+                              numCapRegs,      numFaultPoints};
+        for (u32 expected : layout) {
+            u32 v = expected;
+            ar.u32(v);
+            if (v != expected)
+                throw ParseError("layout-constant mismatch (image "
+                                 "from an incompatible build)");
+        }
+        u64 page = pageSize;
+        ar.u64(page);
+        if (page != pageSize)
+            throw ParseError("page-size mismatch");
+        io(ar, t.cfg);
+
+        ar.tag(SEC_FRAMES, "frames");
+        io(ar, kern.phys);
+        objects(
+            ar, t.frames, [&] { return mintFrame(kern.phys); },
+            [&](auto &f) { io(ar, f); });
+
+        ar.tag(SEC_SWAP, "swap");
+        io(ar, kern.swap);
+
+        ar.tag(SEC_VFS, "vfs");
+        objects(
+            ar, t.chans, [] { return std::make_shared<ByteChannel>(); },
+            [&](auto &ch) { io(ar, ch); });
+        objects(
+            ar, t.nodes, [] { return std::make_shared<VNode>(); },
+            [&](auto &n) { io(ar, n, t); }, true);
+        ref(ar, kern.fs.root, t.nodes, "corrupt vnode id", false);
+        if (kern.fs.root->kind != NodeKind::Directory)
+            throw ParseError("vfs root is not a directory");
+        objects(
+            ar, t.files, [] { return std::make_shared<OpenFile>(); },
+            [&](auto &of) { io(ar, of, t); });
+        ar.u64(t.maxWaitToken);
+
+        ar.tag(SEC_PROCS, "processes");
+        u64 nProcs = kern.procs.size();
+        ar.count(nProcs);
+        if constexpr (Ar::saving) {
+            for (const auto &[pid, p] : kern.procs) {
+                Identity id{pid, p->_ppid, p->_abi, p->_name,
+                            p->_cost._features};
+                io(ar, id);
+                io(ar, std::as_const(*p->_as), t);
+                io(ar, std::as_const(*p), t);
+            }
+        } else {
+            for (u64 i = 0; i < nProcs; ++i) {
+                Identity id;
+                io(ar, id);
+                // The record overwrites the constructor's principal,
+                // format and root.
+                auto as = std::make_unique<AddressSpace>(kern.phys,
+                                                         kern.swap, 0);
+                io(ar, *as, t);
+                auto proc = std::make_unique<Process>(
+                    kern, id.pid, id.ppid, id.abi, id.name, std::move(as),
+                    id.features);
+                io(ar, *proc, t);
+                if (!kern.procs.emplace(id.pid, std::move(proc)).second)
+                    throw ParseError("duplicate pid");
+            }
+        }
+
+        ar.tag(SEC_KERNEL, "kernel");
+        counters(ar, kern.pressure);
+        counters(ar, kern.fdStats);
+        counters(ar, kern.revStats);
+        counters(ar, kern.hardStats);
+        ar.u64(kern.switches, kern.quiescentSeq, kern.nextEpochId,
+               kern.nextPid, kern.nextPrincipal, kern.nextOtype);
+        ar.u32(kern.nextShmId);
+        entries(ar, kern.shmSegments, [&](auto &id, auto &seg) {
+            ar.u32(id);
+            ar.u64(seg.size);
+            seq(ar, seg.frames, [&](auto &f) {
+                ref(ar, f, t.frames, "corrupt shm frame id", false);
+            });
+        });
+        entries(ar, kern.kqueues, [&](auto &pid, auto &events) {
+            ar.u64(pid);
+            seq(ar, events, [&](auto &e) { io(ar, e); });
+        });
+        seq(ar, kern.attached, [&](auto &a) { ar.u64(a.first, a.second); });
+        entries(ar, kern.revEpochs, [&](auto &pid, auto &ep) {
+            ar.u64(pid);
+            io(ar, ep);
+        });
+        entries(ar, kern.eventCounts,
+                [&](auto &pid, auto &count) { ar.u64(pid, count); });
+
+        ar.tag(SEC_INJECT, "injector");
+        for (auto &arm : kern.injector.arms)
+            io(ar, arm);
+
+        ar.tag(SEC_METRICS, "metrics");
+        bool hasMetrics = kern.mx != nullptr;
+        ar.flag(hasMetrics);
+        t.hadMetrics = hasMetrics;
+        if (hasMetrics) {
+            if constexpr (Ar::saving) {
+                io(ar, std::as_const(*kern.mx));
+            } else if (kern.mx) {
+                io(ar, *kern.mx);
+            } else {
+                // No registry attached here: parse (validating the
+                // section) into a scratch registry and discard.
+                auto scratch = std::make_unique<obs::Metrics>();
+                io(ar, *scratch);
+            }
+        }
+
+        ar.tag(SEC_SCHED, "scheduler");
+        bool hasSched = t.sched != nullptr;
+        ar.flag(hasSched);
+        if (hasSched) {
+            if constexpr (Ar::saving) {
+                io(ar, *t.sched, kern);
+            } else {
+                auto sch = std::make_unique<sched::Scheduler>(kern);
+                io(ar, *sch, kern);
+                kern.installScheduler(std::move(sch));
+            }
+        }
+
+        ar.tag(SEC_END, "end");
+    }
 
     /** Mint a frame on the live counter without consulting capacity or
      *  the injector: the image's frames were already admitted once. */
     static FrameRef
-    mintFrame(PhysMem &phys)
+    mintFrame(const PhysMem &phys)
     {
         auto counter = phys.live;
         ++*counter;
@@ -350,9 +961,9 @@ struct Access
     static std::vector<u8>
     saveImpl(Kernel &kern, std::string *error)
     {
-        sched::Scheduler *sch = nullptr;
+        Tables t;
         if (kern.schedIface) {
-            sch = dynamic_cast<sched::Scheduler *>(kern.schedIface);
+            auto *sch = dynamic_cast<sched::Scheduler *>(kern.schedIface);
             if (!sch)
                 return refuse(error, "snapshot: installed scheduler is "
                                      "not a sched::Scheduler");
@@ -365,6 +976,7 @@ struct Access
             if (sch->current && sch->current->isHost())
                 return refuse(error, "snapshot: a hosted context is "
                                      "running and cannot be captured");
+            t.sched = sch;
         }
         for (const auto &[pid, p] : kern.procs) {
             if (!p->liveSigFrames.empty())
@@ -383,1130 +995,84 @@ struct Access
             }
         }
 
-        // ---- collect shared objects (deterministic order) ----
-        std::map<const Frame *, u32> frameIds;
-        std::vector<const Frame *> frameOrder;
-        auto noteFrame = [&](const FrameRef &f) {
-            if (!f || frameIds.count(f.get()))
-                return;
-            frameIds[f.get()] = static_cast<u32>(frameOrder.size() + 1);
-            frameOrder.push_back(f.get());
-        };
+        // ---- census: number the shared objects (deterministic order) --
         for (const auto &[pid, p] : kern.procs) {
             (void)pid;
             for (const auto &[va, pte] : p->_as->pages) {
                 (void)va;
-                noteFrame(pte.frame);
+                t.frames.note(pte.frame);
             }
         }
         for (const auto &[id, seg] : kern.shmSegments) {
             (void)id;
             for (const FrameRef &f : seg.frames)
-                noteFrame(f);
+                t.frames.note(f);
         }
-        if (*kern.phys.live != frameOrder.size())
+        if (*kern.phys.live != t.frames.size())
             return refuse(error,
                           "snapshot: " +
                               std::to_string(*kern.phys.live -
-                                             frameOrder.size()) +
+                                             t.frames.size()) +
                               " live frame(s) not reachable from page "
                               "tables or shm segments");
-
-        std::map<const ByteChannel *, u32> chanIds;
-        std::vector<const ByteChannel *> chanOrder;
-        std::map<const VNode *, u32> nodeIds;
-        std::vector<const VNode *> nodeOrder;
         std::function<void(const VNodeRef &)> noteNode =
             [&](const VNodeRef &n) {
-                if (!n || nodeIds.count(n.get()))
+                if (!t.nodes.note(n))
                     return;
-                nodeIds[n.get()] = static_cast<u32>(nodeOrder.size() + 1);
-                nodeOrder.push_back(n.get());
-                auto noteChan =
-                    [&](const std::shared_ptr<ByteChannel> &ch) {
-                        if (!ch || chanIds.count(ch.get()))
-                            return;
-                        chanIds[ch.get()] =
-                            static_cast<u32>(chanOrder.size() + 1);
-                        chanOrder.push_back(ch.get());
-                    };
-                noteChan(n->readCh);
-                noteChan(n->writeCh);
+                t.chans.note(n->readCh);
+                t.chans.note(n->writeCh);
                 for (const auto &[name, child] : n->children) {
                     (void)name;
                     noteNode(child);
                 }
             };
         noteNode(kern.fs.root);
-        std::map<const OpenFile *, u32> fileIds;
-        std::vector<const OpenFile *> fileOrder;
         for (const auto &[pid, p] : kern.procs) {
             (void)pid;
             for (const OpenFileRef &of : p->fds) {
                 if (!of)
                     continue;
                 noteNode(of->node);
-                if (!fileIds.count(of.get())) {
-                    fileIds[of.get()] =
-                        static_cast<u32>(fileOrder.size() + 1);
-                    fileOrder.push_back(of.get());
-                }
+                t.files.note(of);
             }
         }
-        u64 maxWaitToken = 0;
-        for (const ByteChannel *ch : chanOrder) {
-            maxWaitToken = std::max(maxWaitToken, ch->readWait);
-            maxWaitToken = std::max(maxWaitToken, ch->writeWait);
+        for (u64 i = 1; i <= t.chans.size(); ++i) {
+            const ByteChannel &ch = *t.chans.obj[i];
+            t.maxWaitToken =
+                std::max({t.maxWaitToken, ch.readWait, ch.writeWait});
         }
+        t.cfg = kern.cfg;
 
-        Writer w;
-        w.putBytes(imageMagic, sizeof(imageMagic));
-        w.put32(imageVersion);
-
-        // ---- config + layout constants ----
-        w.put32(SEC_CONFIG);
-        w.put32(numSysNums);
-        w.put32(obs::Metrics::maxOps);
-        w.put32(numTlbCounters);
-        w.put32(numCapFaults);
-        w.put32(numDeriveSources);
-        w.put32(numSignals);
-        w.put32(numCapRegs);
-        w.put32(numFaultPoints);
-        w.put64(pageSize);
-        w.put8(static_cast<u8>(kern.cfg.capFormat));
-        w.put8(static_cast<u8>(kern.cfg.swapPolicy));
-        w.putBool(kern.cfg.features.largeClcImmediate);
-        w.putBool(kern.cfg.features.asanInstrumentation);
-        w.put64(kern.cfg.stackSize);
-        w.put64(kern.cfg.aslrSeed);
-        w.put64(kern.cfg.frameCapacity);
-        w.put64(kern.cfg.swapSlotBudget);
-        w.put64(kern.cfg.revokeSliceBudget);
-        w.put64(kern.cfg.timeSliceSteps);
-
-        // ---- physical frames ----
-        w.put32(SEC_FRAMES);
-        w.put64(kern.phys.allocated);
-        w.put64(kern.phys.failed);
-        w.put64(kern.phys.reclaims);
-        w.put64(kern.phys.capacity);
-        w.put64(frameOrder.size());
-        for (const Frame *f : frameOrder) {
-            w.putBytes(f->bytes().data(), pageSize);
-            w.put64(f->taggedCount());
-            f->forEachTagged([&](u64 off, const Capability &c) {
-                w.put64(off);
-                putCap(w, c);
-            });
-        }
-
-        // ---- swap device ----
-        w.put32(SEC_SWAP);
-        w.put8(static_cast<u8>(kern.swap._policy));
-        w.put64(kern.swap.budget);
-        w.put64(kern.swap.nextSlot);
-        w.put64(kern.swap.swapOuts);
-        w.put64(kern.swap.tagsPreserved);
-        w.put64(kern.swap.swapOutFailures);
-        w.put64(kern.swap.swapInFailures);
-        w.put64(kern.swap.sweepScanFailures);
-        w.put64(kern.swap.discards);
-        // unordered_map: emit in sorted slot order for determinism.
-        std::map<u64, const SwapDevice::Slot *> sortedSlots;
-        for (const auto &[id, slot] : kern.swap.slots)
-            sortedSlots[id] = &slot;
-        w.put64(sortedSlots.size());
-        for (const auto &[id, slot] : sortedSlots) {
-            w.put64(id);
-            w.putBytes(slot->bytes.data(), pageSize);
-            w.put64(slot->tagMeta.size());
-            for (const auto &[off, pattern] : slot->tagMeta) {
-                w.put64(off);
-                putCap(w, pattern);
-            }
-            w.put64(slot->refs);
-        }
-
-        // ---- vfs ----
-        w.put32(SEC_VFS);
-        w.put64(chanOrder.size());
-        for (const ByteChannel *ch : chanOrder) {
-            w.put64(ch->buf.size());
-            for (u8 b : ch->buf)
-                w.put8(b);
-            w.putBool(ch->writerClosed);
-            w.putBool(ch->readerClosed);
-            w.put64(ch->readWait);
-            w.put64(ch->writeWait);
-        }
-        w.put64(nodeOrder.size());
-        for (const VNode *n : nodeOrder) {
-            w.put8(static_cast<u8>(n->kind));
-            w.putStr(n->name);
-            w.put64(n->data.size());
-            w.putBytes(n->data.data(), n->data.size());
-            w.put64(n->children.size());
-            for (const auto &[name, child] : n->children) {
-                w.putStr(name);
-                w.put32(nodeIds.at(child.get()));
-            }
-            w.put32(n->readCh ? chanIds.at(n->readCh.get()) : 0);
-            w.put32(n->writeCh ? chanIds.at(n->writeCh.get()) : 0);
-        }
-        w.put32(nodeIds.at(kern.fs.root.get()));
-        w.put64(fileOrder.size());
-        for (const OpenFile *of : fileOrder) {
-            w.put32(nodeIds.at(of->node.get()));
-            w.put64(of->offset);
-            w.put32(of->flags);
-        }
-        w.put64(maxWaitToken);
-
-        // ---- processes ----
-        w.put32(SEC_PROCS);
-        w.put64(kern.procs.size());
-        for (const auto &[pid, p] : kern.procs) {
-            w.put64(pid);
-            w.put64(p->_ppid);
-            w.put8(static_cast<u8>(p->_abi));
-            w.putStr(p->_name);
-            w.putBool(p->_cost._features.largeClcImmediate);
-            w.putBool(p->_cost._features.asanInstrumentation);
-
-            const AddressSpace &as = *p->_as;
-            w.put64(as._principal);
-            w.put64(as.aslrSlide);
-            w.put8(static_cast<u8>(as.fmt));
-            putCap(w, as.root);
-            w.put64(as.useClock);
-            w.put8(static_cast<u8>(as.walkFault));
-            w.put64(as.activeSweepEpoch);
-            w.put64(as.redirtied.size());
-            for (u64 va : as.redirtied)
-                w.put64(va);
-            w.put64(as.mappings.size());
-            for (const auto &[start, m] : as.mappings) {
-                w.put64(start);
-                w.put64(m.len);
-                w.put32(m.prot);
-                w.put8(static_cast<u8>(m.kind));
-                w.putBool(m.shared);
-                w.putStr(m.name);
-                w.put64(m.backingOffset);
-            }
-            w.put64(as.pages.size());
-            for (const auto &[va, pte] : as.pages) {
-                w.put64(va);
-                w.put32(pte.frame ? frameIds.at(pte.frame.get()) : 0);
-                w.put32(pte.prot);
-                w.putBool(pte.cow);
-                w.putBool(pte.shared);
-                w.putBool(pte.swapped);
-                w.put64(pte.swapSlot);
-                w.put64(pte.lastUse);
-                w.putBool(pte.capDirty);
-                w.put64(pte.sweptEpoch);
-                w.put64(pte.queuedEpoch);
-            }
-
-            putRegs(w, p->_regs);
-
-            const CostModel &cm = p->_cost;
-            w.put64(cm._instructions);
-            w.put64(cm._cycles);
-            w.put64(cm._codeBytes);
-            w.put64(cm._itlbAccesses);
-            w.put64(cm._itlbMisses);
-            w.put64(cm._dtlbAccesses);
-            w.put64(cm._dtlbMisses);
-            w.put64(cm.pc);
-            w.put64(cm.codeFootprint);
-            for (const Cache *c :
-                 {&cm.cacheHier.l1i, &cm.cacheHier.l1d, &cm.cacheHier.l2}) {
-                w.put64(c->lineBytes);
-                w.put64(c->numSets);
-                w.put32(c->ways);
-                w.put64(c->tick);
-                w.put64(c->_hits);
-                w.put64(c->_misses);
-                w.put64(c->sets.size());
-                for (const Cache::Way &way : c->sets) {
-                    w.put64(way.tag);
-                    w.putBool(way.valid);
-                    w.put64(way.lru);
-                }
-            }
-
-            w.put64(p->fds.size());
-            for (const OpenFileRef &of : p->fds)
-                w.put32(of ? fileIds.at(of.get()) : 0);
-
-            w.put64(p->threads.size());
-            for (const ThreadRecord &t : p->threads) {
-                w.put64(t.tid);
-                putRegs(w, t.saved);
-                putCap(w, t.stackCap);
-                w.putBool(t.live);
-            }
-            w.put64(p->curThread);
-            w.put64(p->nextTid);
-
-            for (const SigAction &a : p->sigActions) {
-                w.put8(static_cast<u8>(a.kind));
-                w.put64(a.handlerId);
-            }
-            w.put64(p->sigPending);
-            w.put64(p->sigMask);
-
-            putCap(w, p->stackCap);
-            putCap(w, p->argvCap);
-            putCap(w, p->envvCap);
-            putCap(w, p->auxvCap);
-            putCap(w, p->trampolineCap);
-            w.put32(static_cast<u32>(p->argc));
-            w.put32(static_cast<u32>(p->envc));
-            w.put64(p->heapHint);
-            w.put64(p->brkBase);
-            w.put64(p->brkCur);
-            w.put64(p->brkLimit);
-            w.putBool(p->_exited);
-            w.put32(static_cast<u32>(p->_exitStatus));
-            w.putBool(p->_death.has_value());
-            if (p->_death) {
-                const DeathInfo &d = *p->_death;
-                w.put32(static_cast<u32>(d.signal));
-                w.put8(static_cast<u8>(d.fault));
-                w.put64(d.faultAddr);
-                w.putStr(d.detail);
-                putCap(w, d.faultCap);
-                w.putBool(d.faultCapKnown);
-                w.putBool(d.deadlock);
-            }
-        }
-
-        // ---- kernel scalars and tables ----
-        w.put32(SEC_KERNEL);
-        putStats(w, kern.pressure);
-        putStats(w, kern.fdStats);
-        putStats(w, kern.revStats);
-        putStats(w, kern.hardStats);
-        w.put64(kern.switches);
-        w.put64(kern.quiescentSeq);
-        w.put64(kern.nextEpochId);
-        w.put64(kern.nextPid);
-        w.put64(kern.nextPrincipal);
-        w.put64(kern.nextOtype);
-        w.put32(static_cast<u32>(kern.nextShmId));
-        w.put64(kern.shmSegments.size());
-        for (const auto &[id, seg] : kern.shmSegments) {
-            w.put32(static_cast<u32>(id));
-            w.put64(seg.size);
-            w.put64(seg.frames.size());
-            for (const FrameRef &f : seg.frames)
-                w.put32(frameIds.at(f.get()));
-        }
-        w.put64(kern.kqueues.size());
-        for (const auto &[pid, events] : kern.kqueues) {
-            w.put64(pid);
-            w.put64(events.size());
-            for (const KEvent &e : events) {
-                w.put32(static_cast<u32>(e.ident));
-                w.put64(static_cast<u64>(e.filter));
-                putCap(w, e.udata);
-            }
-        }
-        w.put64(kern.attached.size());
-        for (const auto &[dbg, target] : kern.attached) {
-            w.put64(dbg);
-            w.put64(target);
-        }
-        w.put64(kern.revEpochs.size());
-        for (const auto &[pid, ep] : kern.revEpochs) {
-            w.put64(pid);
-            w.putBool(ep.open);
-            w.put64(ep.id);
-            w.put64(ep.ranges.size());
-            for (const auto &[lo, hi] : ep.ranges) {
-                w.put64(lo);
-                w.put64(hi);
-            }
-            w.put64(ep.worklist.size());
-            for (u64 va : ep.worklist)
-                w.put64(va);
-            w.putBool(ep.forceFull);
-            w.putBool(ep.incremental);
-            w.put64(ep.revoked);
-            w.put64(ep.cyclesAtOpen);
-            w.put64(ep.closedRanges.size());
-            for (const auto &[lo, hi] : ep.closedRanges) {
-                w.put64(lo);
-                w.put64(hi);
-            }
-            w.put64(ep.closeSeq);
-        }
-        w.put64(kern.eventCounts.size());
-        for (const auto &[pid, count] : kern.eventCounts) {
-            w.put64(pid);
-            w.put64(count);
-        }
-
-        // ---- fault injector ----
-        w.put32(SEC_INJECT);
-        for (const auto &arm : kern.injector.arms) {
-            w.put8(static_cast<u8>(arm.mode));
-            w.put64(arm.countdown);
-            w.put64(arm.period);
-            w.put64(arm.lcg);
-            w.put64(arm.seen);
-            w.put64(arm.fired);
-        }
-
-        // ---- metrics ----
-        w.put32(SEC_METRICS);
-        w.putBool(kern.mx != nullptr);
+        Writer ar;
+        header(ar);
+        sections(ar, std::as_const(kern), t);
         if (kern.mx)
-            putMetrics(w, *kern.mx);
-
-        // ---- scheduler ----
-        w.put32(SEC_SCHED);
-        w.putBool(sch != nullptr);
-        if (sch)
-            putSched(w, *sch);
-
-        w.put32(SEC_END);
-
-        if (kern.mx)
-            kern.mx->recordSnapshot(w.out.size());
-        return std::move(w.out);
-    }
-
-    static void
-    putMetrics(Writer &w, const obs::Metrics &m)
-    {
-        for (const auto &perAbi : m.sys) {
-            for (const obs::SyscallStats &s : perAbi) {
-                w.put64(s.calls);
-                w.put64(s.errors);
-                putHistogram(w, s.cycles);
-            }
-        }
-        for (const auto &perAbi : m.insnMix)
-            for (u64 v : perAbi)
-                w.put64(v);
-        for (const auto &perAbi : m.tlb)
-            for (u64 v : perAbi)
-                w.put64(v);
-        w.put64(m._faults.size());
-        for (const obs::FaultRecord &f : m._faults) {
-            w.put8(static_cast<u8>(f.cause));
-            w.put64(f.pc);
-            w.put64(f.addr);
-            w.put8(static_cast<u8>(f.abi));
-            w.put16(f.sysnum);
-            w.put8(static_cast<u8>(f.provenance));
-            w.putBool(f.provenanceKnown);
-        }
-        w.put64(m.faultsDropped);
-        for (u64 v : m.faultsByCause)
-            w.put64(v);
-        w.put64(m._threadSteps.size());
-        for (const auto &[key, steps] : m._threadSteps) {
-            w.put64(key.first);
-            w.put64(key.second);
-            w.put64(steps);
-        }
-        w.put64(m.chk.oracleRuns);
-        w.put64(m.chk.oracleViolations);
-        w.put64(m.chk.fuzzCases);
-        w.put64(m.chk.fuzzDivergences);
-        w.put64(m.snp.snapshotsTaken);
-        w.put64(m.snp.snapshotBytes);
-        w.put64(m.snp.restores);
-        w.put64(m.snp.restoreFailures);
-        w.put64(m.snp.records);
-        w.put64(m.snp.replays);
-        w.put64(m.snp.replayDivergences);
-        w.put64(m.snp.logEntries);
-        w.put64(m.costs.size());
-        for (const obs::CostSnapshot &c : m.costs) {
-            w.putStr(c.label);
-            w.put8(static_cast<u8>(c.abi));
-            w.put64(c.instructions);
-            w.put64(c.cycles);
-            w.put64(c.l1dMisses);
-            w.put64(c.l2Misses);
-            w.put64(c.codeBytes);
-            w.put64(c.itlbMisses);
-            w.put64(c.dtlbMisses);
-        }
-        for (u64 v : m.deriveCounts)
-            w.put64(v);
-        w.put64(m.provenance.size());
-        for (const auto &[key, src] : m.provenance) {
-            w.put64(key.first);
-            w.put64(key.second);
-            w.put8(static_cast<u8>(src));
-        }
-        w.put64(m.currentSys);
-        CounterTotals kept = m.kept;
-        kept.visitSets([&](auto &set) { putStats(w, set); });
-    }
-
-    static void
-    putSched(Writer &w, const sched::Scheduler &sch)
-    {
-        w.put64(sch.vclock);
-        putStats(w, sch.st);
-        w.put64(sch.ctxs.size());
-        for (const auto &[key, ctx] : sch.ctxs) {
-            w.put64(key.first);
-            w.put64(key.second);
-            // A mid-slice save serializes the running context as
-            // Runnable at the front of the run queue: the restored
-            // image resumes it from its current PC.
-            auto state = ctx.get() == sch.current
-                             ? sched::ExecContext::State::Runnable
-                             : ctx->state;
-            w.put8(static_cast<u8>(state));
-            w.put8(static_cast<u8>(ctx->blockKind));
-            w.put64(ctx->blockArg);
-            w.putBool(ctx->restartOnWake);
-            w.put64(ctx->fdChans.size());
-            for (u64 chan : ctx->fdChans)
-                w.put64(chan);
-            w.putBool(ctx->fdDeadlineArmed);
-            w.put64(ctx->fdDeadline);
-            w.putBool(ctx->fdTimedOut);
-            putResult(w, ctx->last);
-            w.put64(ctx->stepLimit);
-            w.put64(ctx->readyBaseSteps);
-            w.put64(ctx->slices);
-            w.put64(ctx->interp ? ctx->interp->_retired : 0);
-        }
-        std::vector<std::pair<u64, u64>> q;
-        if (sch.current)
-            q.push_back({sch.current->pid, sch.current->tid});
-        for (const sched::ExecContext *c : sch.runq)
-            q.push_back({c->pid, c->tid});
-        w.put64(q.size());
-        for (const auto &[pid, tid] : q) {
-            w.put64(pid);
-            w.put64(tid);
-        }
-        w.put64(sch.blocked.size());
-        for (const sched::ExecContext *c : sch.blocked) {
-            w.put64(c->pid);
-            w.put64(c->tid);
-        }
-        // lastRan may point at an already-erased hosted context:
-        // compare addresses only, never dereference.
-        bool lastRanKnown = false;
-        std::pair<u64, u64> lastKey{0, 0};
-        if (sch.lastRan) {
-            for (const auto &[key, ctx] : sch.ctxs) {
-                if (ctx.get() == sch.lastRan) {
-                    lastRanKnown = true;
-                    lastKey = key;
-                }
-            }
-        }
-        w.putBool(lastRanKnown);
-        w.put64(lastKey.first);
-        w.put64(lastKey.second);
+            kern.mx->recordSnapshot(ar.size());
+        return ar.take();
     }
 
     // ------------------------------------------------------------------
     // restore
     // ------------------------------------------------------------------
 
-    static void
-    getMetrics(Reader &r, obs::Metrics &m)
-    {
-        for (auto &perAbi : m.sys) {
-            for (obs::SyscallStats &s : perAbi) {
-                s.calls = r.get64();
-                s.errors = r.get64();
-                getHistogram(r, s.cycles);
-            }
-        }
-        for (auto &perAbi : m.insnMix)
-            for (u64 &v : perAbi)
-                v = r.get64();
-        for (auto &perAbi : m.tlb)
-            for (u64 &v : perAbi)
-                v = r.get64();
-        m._faults.clear();
-        u64 nFaults = r.getCount();
-        for (u64 i = 0; i < nFaults; ++i) {
-            obs::FaultRecord f;
-            f.cause = static_cast<CapFault>(
-                r.getEnum(static_cast<u8>(numCapFaults - 1), "fault cause"));
-            f.pc = r.get64();
-            f.addr = r.get64();
-            f.abi = static_cast<Abi>(r.getEnum(2, "fault abi"));
-            f.sysnum = r.get16();
-            f.provenance = static_cast<DeriveSource>(r.getEnum(
-                static_cast<u8>(numDeriveSources - 1), "provenance"));
-            f.provenanceKnown = r.getBool();
-            m._faults.push_back(f);
-        }
-        m.faultsDropped = r.get64();
-        for (u64 &v : m.faultsByCause)
-            v = r.get64();
-        m._threadSteps.clear();
-        u64 nThreadSteps = r.getCount();
-        for (u64 i = 0; i < nThreadSteps; ++i) {
-            u64 pid = r.get64();
-            u64 tid = r.get64();
-            m._threadSteps[{pid, tid}] = r.get64();
-        }
-        m.chk.oracleRuns = r.get64();
-        m.chk.oracleViolations = r.get64();
-        m.chk.fuzzCases = r.get64();
-        m.chk.fuzzDivergences = r.get64();
-        m.snp.snapshotsTaken = r.get64();
-        m.snp.snapshotBytes = r.get64();
-        m.snp.restores = r.get64();
-        m.snp.restoreFailures = r.get64();
-        m.snp.records = r.get64();
-        m.snp.replays = r.get64();
-        m.snp.replayDivergences = r.get64();
-        m.snp.logEntries = r.get64();
-        m.costs.clear();
-        u64 nCosts = r.getCount();
-        for (u64 i = 0; i < nCosts; ++i) {
-            obs::CostSnapshot c;
-            c.label = r.getStr();
-            c.abi = static_cast<Abi>(r.getEnum(2, "cost abi"));
-            c.instructions = r.get64();
-            c.cycles = r.get64();
-            c.l1dMisses = r.get64();
-            c.l2Misses = r.get64();
-            c.codeBytes = r.get64();
-            c.itlbMisses = r.get64();
-            c.dtlbMisses = r.get64();
-            m.costs.push_back(std::move(c));
-        }
-        for (u64 &v : m.deriveCounts)
-            v = r.get64();
-        m.provenance.clear();
-        u64 nProv = r.getCount();
-        for (u64 i = 0; i < nProv; ++i) {
-            u64 base = r.get64();
-            u64 len = r.get64();
-            m.provenance[{base, len}] = static_cast<DeriveSource>(r.getEnum(
-                static_cast<u8>(numDeriveSources - 1), "provenance"));
-        }
-        m.currentSys = r.get64();
-        m.kept.visitSets([&](auto &set) { getStats(r, set); });
-    }
-
-    static void
-    loadCache(Reader &r, Cache &c)
-    {
-        u64 lineBytes = r.get64();
-        u64 numSets = r.get64();
-        u32 ways = r.get32();
-        if (lineBytes != c.lineBytes || numSets != c.numSets ||
-            ways != c.ways)
-            throw ParseError("cache geometry mismatch");
-        c.tick = r.get64();
-        c._hits = r.get64();
-        c._misses = r.get64();
-        u64 nWays = r.get64();
-        if (nWays != c.sets.size())
-            throw ParseError("cache way-array size mismatch");
-        for (Cache::Way &way : c.sets) {
-            way.tag = r.get64();
-            way.valid = r.getBool();
-            way.lru = r.get64();
-        }
-    }
-
-    static void
-    loadSched(Kernel &kern, Reader &r)
-    {
-        auto sch = std::make_unique<sched::Scheduler>(kern);
-        sch->vclock = r.get64();
-        getStats(r, sch->st);
-        u64 nCtx = r.getCount();
-        for (u64 i = 0; i < nCtx; ++i) {
-            auto ctx = std::make_unique<sched::ExecContext>();
-            ctx->pid = r.get64();
-            ctx->tid = r.get64();
-            ctx->state = static_cast<sched::ExecContext::State>(
-                r.getEnum(3, "context state"));
-            ctx->blockKind =
-                static_cast<BlockKind>(r.getEnum(4, "block kind"));
-            ctx->blockArg = r.get64();
-            ctx->restartOnWake = r.getBool();
-            u64 nChans = r.getCount();
-            for (u64 k = 0; k < nChans; ++k)
-                ctx->fdChans.push_back(r.get64());
-            ctx->fdDeadlineArmed = r.getBool();
-            ctx->fdDeadline = r.get64();
-            ctx->fdTimedOut = r.getBool();
-            ctx->last = getResult(r);
-            ctx->stepLimit = r.get64();
-            ctx->readyBaseSteps = r.get64();
-            ctx->slices = r.get64();
-            u64 retired = r.get64();
-            Process *proc = kern.findProcess(ctx->pid);
-            if (!proc)
-                throw ParseError("context references unknown pid");
-            ctx->interp =
-                std::make_unique<isa::Interpreter>(*proc, kern.traceSink);
-            isa::installDefaultSyscallHook(*ctx->interp, kern);
-            ctx->interp->_retired = retired;
-            std::pair<u64, u64> key{ctx->pid, ctx->tid};
-            if (!sch->ctxs.emplace(key, std::move(ctx)).second)
-                throw ParseError("duplicate scheduler context");
-        }
-        auto lookup = [&](const char *what) -> sched::ExecContext * {
-            u64 pid = r.get64();
-            u64 tid = r.get64();
-            auto it = sch->ctxs.find({pid, tid});
-            if (it == sch->ctxs.end())
-                throw ParseError(std::string("queue references unknown "
-                                             "context: ") +
-                                 what);
-            return it->second.get();
-        };
-        u64 nRunq = r.getCount();
-        for (u64 i = 0; i < nRunq; ++i)
-            sch->runq.push_back(lookup("run queue"));
-        u64 nBlocked = r.getCount();
-        for (u64 i = 0; i < nBlocked; ++i)
-            sch->blocked.push_back(lookup("blocked list"));
-        if (r.getBool())
-            sch->lastRan = lookup("lastRan");
-        else {
-            r.get64();
-            r.get64();
-        }
-        kern.installScheduler(std::move(sch));
-    }
-
     static bool
     restoreImpl(Kernel &kern, const std::vector<u8> &image,
                 std::string *error)
     {
         try {
-            Reader r(image);
-            char magic[8];
-            r.getBytes(magic, sizeof(magic));
-            if (std::memcmp(magic, imageMagic, sizeof(magic)) != 0)
-                throw ParseError("bad magic");
-            if (r.get32() != imageVersion)
-                throw ParseError("unsupported image version");
+            Reader ar(image);
+            header(ar);
             wipe(kern);
-
-            // ---- config + layout constants ----
-            r.expect(SEC_CONFIG, "config");
-            const u32 layout[] = {numSysNums,
-                                  obs::Metrics::maxOps,
-                                  numTlbCounters,
-                                  numCapFaults,
-                                  numDeriveSources,
-                                  numSignals,
-                                  numCapRegs,
-                                  numFaultPoints};
-            for (u32 expected : layout) {
-                if (r.get32() != expected)
-                    throw ParseError("layout-constant mismatch (image "
-                                     "from an incompatible build)");
-            }
-            if (r.get64() != pageSize)
-                throw ParseError("page-size mismatch");
-            KernelConfig newCfg;
-            newCfg.capFormat = static_cast<compress::CapFormat>(
-                r.getEnum(1, "cap format"));
-            newCfg.swapPolicy =
-                static_cast<SwapPolicy>(r.getEnum(1, "swap policy"));
-            newCfg.features.largeClcImmediate = r.getBool();
-            newCfg.features.asanInstrumentation = r.getBool();
-            newCfg.stackSize = r.get64();
-            newCfg.aslrSeed = r.get64();
-            newCfg.frameCapacity = r.get64();
-            newCfg.swapSlotBudget = r.get64();
-            newCfg.revokeSliceBudget = r.get64();
-            newCfg.timeSliceSteps = r.get64();
-
-            // ---- physical frames ----
-            r.expect(SEC_FRAMES, "frames");
-            kern.phys.allocated = r.get64();
-            kern.phys.failed = r.get64();
-            kern.phys.reclaims = r.get64();
-            kern.phys.capacity = r.get64();
-            u64 nFrames = r.getCount();
-            std::vector<FrameRef> frames(nFrames + 1);
-            for (u64 i = 1; i <= nFrames; ++i) {
-                FrameRef f = mintFrame(kern.phys);
-                std::array<u8, pageSize> buf;
-                r.getBytes(buf.data(), pageSize);
-                // Bytes first, capabilities second: Frame::write clears
-                // the tags of every granule it touches.
-                f->write(0, buf.data(), pageSize);
-                u64 nTags = r.getCount();
-                for (u64 t = 0; t < nTags; ++t) {
-                    u64 off = r.get64();
-                    if (off >= pageSize || off % capSize != 0)
-                        throw ParseError("corrupt tag offset");
-                    f->writeCap(off, getCap(r));
-                }
-                frames[i] = std::move(f);
-            }
-
-            // ---- swap device ----
-            r.expect(SEC_SWAP, "swap");
-            kern.swap._policy =
-                static_cast<SwapPolicy>(r.getEnum(1, "swap policy"));
-            kern.swap.budget = r.get64();
-            kern.swap.nextSlot = r.get64();
-            kern.swap.swapOuts = r.get64();
-            kern.swap.tagsPreserved = r.get64();
-            kern.swap.swapOutFailures = r.get64();
-            kern.swap.swapInFailures = r.get64();
-            kern.swap.sweepScanFailures = r.get64();
-            kern.swap.discards = r.get64();
-            u64 nSlots = r.getCount();
-            for (u64 i = 0; i < nSlots; ++i) {
-                u64 id = r.get64();
-                SwapDevice::Slot slot;
-                r.getBytes(slot.bytes.data(), pageSize);
-                slot.tagMeta.clear();
-                u64 nTags = r.getCount();
-                for (u64 t = 0; t < nTags; ++t) {
-                    u64 off = r.get64();
-                    slot.tagMeta.push_back({off, getCap(r)});
-                }
-                slot.refs = r.get64();
-                if (!kern.swap.slots.emplace(id, std::move(slot)).second)
-                    throw ParseError("duplicate swap slot");
-            }
-
-            // ---- vfs ----
-            r.expect(SEC_VFS, "vfs");
-            u64 nChans = r.getCount();
-            std::vector<std::shared_ptr<ByteChannel>> chans(nChans + 1);
-            for (u64 i = 1; i <= nChans; ++i) {
-                auto ch = std::make_shared<ByteChannel>();
-                u64 len = r.getCount();
-                for (u64 k = 0; k < len; ++k)
-                    ch->buf.push_back(r.get8());
-                ch->writerClosed = r.getBool();
-                ch->readerClosed = r.getBool();
-                ch->readWait = r.get64();
-                ch->writeWait = r.get64();
-                chans[i] = std::move(ch);
-            }
-            u64 nNodes = r.getCount();
-            std::vector<VNodeRef> nodes(nNodes + 1);
-            for (u64 i = 1; i <= nNodes; ++i)
-                nodes[i] = std::make_shared<VNode>();
-            auto chanById = [&](u32 id) -> std::shared_ptr<ByteChannel> {
-                if (id > nChans)
-                    throw ParseError("corrupt channel id");
-                return id ? chans[id] : nullptr;
-            };
-            auto nodeById = [&](u32 id) -> VNodeRef {
-                if (id == 0 || id > nNodes)
-                    throw ParseError("corrupt vnode id");
-                return nodes[id];
-            };
-            for (u64 i = 1; i <= nNodes; ++i) {
-                VNode &n = *nodes[i];
-                n.kind = static_cast<NodeKind>(r.getEnum(4, "node kind"));
-                n.name = r.getStr();
-                u64 len = r.getCount();
-                n.data.resize(len);
-                r.getBytes(n.data.data(), len);
-                u64 nKids = r.getCount();
-                for (u64 k = 0; k < nKids; ++k) {
-                    std::string name = r.getStr();
-                    n.children[name] = nodeById(r.get32());
-                }
-                n.readCh = chanById(r.get32());
-                n.writeCh = chanById(r.get32());
-            }
-            VNodeRef newRoot = nodeById(r.get32());
-            if (newRoot->kind != NodeKind::Directory)
-                throw ParseError("vfs root is not a directory");
-            u64 nFiles = r.getCount();
-            std::vector<OpenFileRef> files(nFiles + 1);
-            for (u64 i = 1; i <= nFiles; ++i) {
-                auto of = std::make_shared<OpenFile>();
-                of->node = nodeById(r.get32());
-                of->offset = r.get64();
-                of->flags = r.get32();
-                files[i] = std::move(of);
-            }
-            u64 maxWaitToken = r.get64();
-            kern.fs.root = newRoot;
-
-            // ---- processes ----
-            r.expect(SEC_PROCS, "processes");
-            u64 nProcs = r.getCount();
-            for (u64 i = 0; i < nProcs; ++i) {
-                u64 pid = r.get64();
-                u64 ppid = r.get64();
-                Abi abi = static_cast<Abi>(r.getEnum(2, "abi"));
-                std::string name = r.getStr();
-                MachineFeatures feat;
-                feat.largeClcImmediate = r.getBool();
-                feat.asanInstrumentation = r.getBool();
-
-                u64 principal = r.get64();
-                u64 slide = r.get64();
-                auto fmt = static_cast<compress::CapFormat>(
-                    r.getEnum(1, "cap format"));
-                Capability rootCap = getCap(r);
-                u64 useClock = r.get64();
-                auto walkFault = static_cast<CapFault>(r.getEnum(
-                    static_cast<u8>(numCapFaults - 1), "walk fault"));
-                u64 sweepEpoch = r.get64();
-                auto as = std::make_unique<AddressSpace>(
-                    kern.phys, kern.swap, principal, fmt, 0);
-                as->aslrSlide = slide;
-                as->root = rootCap;
-                as->useClock = useClock;
-                as->walkFault = walkFault;
-                as->activeSweepEpoch = sweepEpoch;
-                u64 nRedirty = r.getCount();
-                for (u64 k = 0; k < nRedirty; ++k)
-                    as->redirtied.push_back(r.get64());
-                u64 nMaps = r.getCount();
-                for (u64 k = 0; k < nMaps; ++k) {
-                    Mapping m;
-                    m.start = r.get64();
-                    m.len = r.get64();
-                    m.prot = r.get32();
-                    m.kind =
-                        static_cast<MappingKind>(r.getEnum(9, "map kind"));
-                    m.shared = r.getBool();
-                    m.name = r.getStr();
-                    m.backingOffset = r.get64();
-                    as->mappings[m.start] = std::move(m);
-                }
-                u64 nPages = r.getCount();
-                for (u64 k = 0; k < nPages; ++k) {
-                    u64 va = r.get64();
-                    u32 frameId = r.get32();
-                    if (frameId > nFrames)
-                        throw ParseError("corrupt frame id");
-                    AddressSpace::Pte pte;
-                    pte.frame = frameId ? frames[frameId] : nullptr;
-                    pte.prot = r.get32();
-                    pte.cow = r.getBool();
-                    pte.shared = r.getBool();
-                    pte.swapped = r.getBool();
-                    pte.swapSlot = r.get64();
-                    pte.lastUse = r.get64();
-                    pte.capDirty = r.getBool();
-                    pte.sweptEpoch = r.get64();
-                    pte.queuedEpoch = r.get64();
-                    as->pages[va] = std::move(pte);
-                }
-
-                auto proc = std::make_unique<Process>(
-                    kern, pid, ppid, abi, name, std::move(as), feat);
-                getRegs(r, proc->_regs);
-                CostModel &cm = proc->_cost;
-                cm._instructions = r.get64();
-                cm._cycles = r.get64();
-                cm._codeBytes = r.get64();
-                cm._itlbAccesses = r.get64();
-                cm._itlbMisses = r.get64();
-                cm._dtlbAccesses = r.get64();
-                cm._dtlbMisses = r.get64();
-                cm.pc = r.get64();
-                cm.codeFootprint = r.get64();
-                loadCache(r, cm.cacheHier.l1i);
-                loadCache(r, cm.cacheHier.l1d);
-                loadCache(r, cm.cacheHier.l2);
-
-                u64 nFds = r.getCount();
-                for (u64 k = 0; k < nFds; ++k) {
-                    u32 fileId = r.get32();
-                    if (fileId > nFiles)
-                        throw ParseError("corrupt open-file id");
-                    proc->fds.push_back(fileId ? files[fileId] : nullptr);
-                }
-                u64 nThreads = r.getCount();
-                for (u64 k = 0; k < nThreads; ++k) {
-                    ThreadRecord t;
-                    t.tid = r.get64();
-                    getRegs(r, t.saved);
-                    t.stackCap = getCap(r);
-                    t.live = r.getBool();
-                    proc->threads.push_back(std::move(t));
-                }
-                proc->curThread = r.get64();
-                proc->nextTid = r.get64();
-                // curThread is a tid, not an index: the main thread is
-                // tid 0 and only spawned threads get records, so the
-                // only sound bound is the allocator's high-water mark.
-                if (proc->curThread >= proc->nextTid)
-                    throw ParseError("corrupt current-thread id");
-                for (SigAction &a : proc->sigActions) {
-                    a.kind = static_cast<SigAction::Kind>(
-                        r.getEnum(2, "sigaction kind"));
-                    a.handlerId = r.get64();
-                }
-                proc->sigPending = r.get64();
-                proc->sigMask = r.get64();
-                proc->stackCap = getCap(r);
-                proc->argvCap = getCap(r);
-                proc->envvCap = getCap(r);
-                proc->auxvCap = getCap(r);
-                proc->trampolineCap = getCap(r);
-                proc->argc = static_cast<int>(r.get32());
-                proc->envc = static_cast<int>(r.get32());
-                proc->heapHint = r.get64();
-                proc->brkBase = r.get64();
-                proc->brkCur = r.get64();
-                proc->brkLimit = r.get64();
-                proc->_exited = r.getBool();
-                proc->_exitStatus = static_cast<int>(r.get32());
-                if (r.getBool()) {
-                    DeathInfo d;
-                    d.signal = static_cast<int>(r.get32());
-                    d.fault = static_cast<CapFault>(r.getEnum(
-                        static_cast<u8>(numCapFaults - 1), "death fault"));
-                    d.faultAddr = r.get64();
-                    d.detail = r.getStr();
-                    d.faultCap = getCap(r);
-                    d.faultCapKnown = r.getBool();
-                    d.deadlock = r.getBool();
-                    proc->_death = std::move(d);
-                }
-                if (!kern.procs.emplace(pid, std::move(proc)).second)
-                    throw ParseError("duplicate pid");
-            }
-
-            // ---- kernel scalars and tables ----
-            r.expect(SEC_KERNEL, "kernel");
-            getStats(r, kern.pressure);
-            getStats(r, kern.fdStats);
-            getStats(r, kern.revStats);
-            getStats(r, kern.hardStats);
-            kern.switches = r.get64();
-            kern.quiescentSeq = r.get64();
-            kern.nextEpochId = r.get64();
-            kern.nextPid = r.get64();
-            kern.nextPrincipal = r.get64();
-            kern.nextOtype = r.get64();
-            kern.nextShmId = static_cast<int>(r.get32());
-            u64 nShm = r.getCount();
-            for (u64 i = 0; i < nShm; ++i) {
-                int id = static_cast<int>(r.get32());
-                Kernel::ShmSegment seg;
-                seg.size = r.get64();
-                u64 nSegFrames = r.getCount();
-                for (u64 k = 0; k < nSegFrames; ++k) {
-                    u32 frameId = r.get32();
-                    if (frameId == 0 || frameId > nFrames)
-                        throw ParseError("corrupt shm frame id");
-                    seg.frames.push_back(frames[frameId]);
-                }
-                kern.shmSegments[id] = std::move(seg);
-            }
-            u64 nKq = r.getCount();
-            for (u64 i = 0; i < nKq; ++i) {
-                u64 pid = r.get64();
-                std::vector<KEvent> events;
-                u64 nEv = r.getCount();
-                for (u64 k = 0; k < nEv; ++k) {
-                    KEvent e;
-                    e.ident = static_cast<int>(r.get32());
-                    e.filter =
-                        static_cast<KFilter>(static_cast<s64>(r.get64()));
-                    e.udata = getCap(r);
-                    events.push_back(e);
-                }
-                kern.kqueues[pid] = std::move(events);
-            }
-            u64 nAttached = r.getCount();
-            for (u64 i = 0; i < nAttached; ++i) {
-                u64 dbg = r.get64();
-                u64 target = r.get64();
-                kern.attached.push_back({dbg, target});
-            }
-            u64 nEpochs = r.getCount();
-            for (u64 i = 0; i < nEpochs; ++i) {
-                u64 pid = r.get64();
-                RevocationEpoch ep;
-                ep.open = r.getBool();
-                ep.id = r.get64();
-                u64 nRanges = r.getCount();
-                for (u64 k = 0; k < nRanges; ++k) {
-                    u64 lo = r.get64();
-                    u64 hi = r.get64();
-                    ep.ranges.push_back({lo, hi});
-                }
-                u64 nWork = r.getCount();
-                for (u64 k = 0; k < nWork; ++k)
-                    ep.worklist.push_back(r.get64());
-                ep.forceFull = r.getBool();
-                ep.incremental = r.getBool();
-                ep.revoked = r.get64();
-                ep.cyclesAtOpen = r.get64();
-                u64 nClosed = r.getCount();
-                for (u64 k = 0; k < nClosed; ++k) {
-                    u64 lo = r.get64();
-                    u64 hi = r.get64();
-                    ep.closedRanges.push_back({lo, hi});
-                }
-                ep.closeSeq = r.get64();
-                kern.revEpochs[pid] = std::move(ep);
-            }
-            u64 nEvents = r.getCount();
-            for (u64 i = 0; i < nEvents; ++i) {
-                u64 pid = r.get64();
-                kern.eventCounts[pid] = r.get64();
-            }
-
-            // ---- fault injector (arms only; the tap is environment) ----
-            r.expect(SEC_INJECT, "injector");
-            for (auto &arm : kern.injector.arms) {
-                arm.mode = static_cast<FaultInjector::Mode>(
-                    r.getEnum(2, "inject mode"));
-                arm.countdown = r.get64();
-                arm.period = r.get64();
-                arm.lcg = r.get64();
-                arm.seen = r.get64();
-                arm.fired = r.get64();
-            }
-
-            // ---- metrics ----
-            r.expect(SEC_METRICS, "metrics");
-            bool hadMetrics = r.getBool();
-            if (hadMetrics) {
-                if (kern.mx)
-                    getMetrics(r, *kern.mx);
-                else {
-                    // No registry attached here: parse (validating the
-                    // section) into a scratch registry and discard.
-                    auto scratch = std::make_unique<obs::Metrics>();
-                    getMetrics(r, *scratch);
-                }
-            }
-
-            // ---- scheduler ----
-            r.expect(SEC_SCHED, "scheduler");
-            if (r.getBool())
-                loadSched(kern, r);
-
-            r.expect(SEC_END, "end");
+            Tables t;
+            sections(ar, kern, t);
 
             // Commit: config applies only once the whole image parsed.
-            kern.cfg = newCfg;
-            Vfs::reserveWaitIds(maxWaitToken + 1);
+            kern.cfg = t.cfg;
+            Vfs::reserveWaitIds(t.maxWaitToken + 1);
             if (kern.mx) {
                 // An image without a registry restores none: the
                 // registry starts over on the restored counters.
-                if (!hadMetrics)
+                if (!t.hadMetrics)
                     kern.mx->reset();
                 // Re-wire every restored process's fresh MemAccess into
                 // the registry's TLB counter blocks.
@@ -1530,8 +1096,9 @@ struct Access
         }
     }
 
-    /** Tear down all restorable state, leaving environment (trace sink,
-     *  metrics pointer, check hook, injector tap, reclaim hook) wired. */
+    /** Tear down all restorable state to the kernel's empty baseline,
+     *  leaving environment (trace sink, metrics pointer, check hook,
+     *  injector tap, reclaim hook) wired. */
     static void
     wipe(Kernel &kern)
     {
@@ -1545,60 +1112,24 @@ struct Access
         // The scheduler's contexts hold Process references: destroy
         // them before the processes.
         kern.installScheduler(nullptr);
-        kern.procs.clear();
-        kern.shmSegments.clear();
-        kern.kqueues.clear();
-        kern.attached.clear();
-        kern.revEpochs.clear();
-        kern.eventCounts.clear();
-        kern.fs = Vfs();
+        kern.resetToBaseline();
         kern.swap.slots.clear();
     }
 
-    /** Restore-abort landing pad: an empty, usable kernel matching what
-     *  the Kernel constructor builds (modulo environment, which is
-     *  preserved). */
+    /** Restore-abort landing pad: the baseline, with the environment
+     *  preserved.  Unlike a panic reset, a failed restore keeps no
+     *  hardening history, and the pools take their capacity, swap
+     *  policy and budget from the config again. */
     static void
     resetToEmpty(Kernel &kern)
     {
         wipe(kern);
-        kern.pressure = {};
-        kern.fdStats = {};
-        kern.revStats = {};
         kern.hardStats = {};
-        kern.lastDispatchPid = 0;
-        kern.lastDispatchCode = ~u64{0};
-        kern.panicPlant = 0;
         kern.panicInProgress = false;
-        kern.nextEpochId = 0;
-        kern.quiescentSeq = 0;
-        kern.nextPid = 1;
-        kern.nextPrincipal = 1;
-        kern.nextOtype = 1;
-        kern.nextShmId = 1;
-        kern.switches = 0;
-        kern.phys.allocated = 0;
-        kern.phys.failed = 0;
-        kern.phys.reclaims = 0;
         kern.phys.capacity = kern.cfg.frameCapacity;
         kern.swap._policy = kern.cfg.swapPolicy;
         kern.swap.budget = kern.cfg.swapSlotBudget;
         kern.swap.nextSlot = 0;
-        kern.swap.swapOuts = 0;
-        kern.swap.tagsPreserved = 0;
-        kern.swap.swapOutFailures = 0;
-        kern.swap.swapInFailures = 0;
-        kern.swap.sweepScanFailures = 0;
-        kern.swap.discards = 0;
-        kern.injector.arms = {};
-        // Rebuild the constructor's VFS baseline.
-        kern.fs.mkdir("/tmp");
-        kern.fs.mkdir("/etc");
-        kern.fs.mkdir("/home");
-        if (auto motd = kern.fs.createFile("/etc/motd")) {
-            const char msg[] = "MiniBSD (CheriABI reproduction kernel)\n";
-            motd->data.assign(msg, msg + sizeof(msg) - 1);
-        }
         kern.kernelReady = true;
     }
 

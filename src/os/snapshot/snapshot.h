@@ -8,7 +8,9 @@
  * refcounts, the VFS tree with pipe channels and wait tokens, the
  * scheduler's run queue and per-context capability register files
  * (tags intact), open revocation epochs, fault-injector arms, and what
- * the attached metrics registry owns — into one versioned binary image.  Restoring the
+ * the attached metrics registry owns — into one versioned binary
+ * image, written and read through the symmetric archive (archive.h),
+ * so each serialized type lists its fields once.  Restoring the
  * image into a Kernel rebuilds all of it bit-exactly; because the
  * system is fully deterministic (virtual clock, instruction-boundary
  * preemption, seeded injection), a restored system continues exactly
@@ -35,8 +37,9 @@
  *    coredump); restored processes report an empty image.
  *
  * A failed restore never host-aborts and never leaves the kernel
- * half-built: the target is reset to an empty, usable baseline, with
- * FD teardown edges suppressed by the kernel-ready guard.
+ * half-built: the target is reset to the empty, usable baseline a
+ * panic reset also uses, with FD teardown edges suppressed by the
+ * kernel-ready guard.
  */
 
 #ifndef CHERI_OS_SNAPSHOT_SNAPSHOT_H
