@@ -1,5 +1,6 @@
 #include "check/replay.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
@@ -402,8 +403,10 @@ ReplaySession::load(const std::vector<u8> &in, std::string *error)
         ioPreamble(ar, o, count);
         if (count > in.size())
             throw snap::ParseError("corrupt log entry count");
+        // Reserve only as many entries as the log could hold at the
+        // smallest (plain) entry size.
         std::vector<Entry> parsed;
-        parsed.reserve(count);
+        parsed.reserve(std::min<u64>(count, in.size() / (1 + 2 * 8)));
         for (u64 i = 0; i < count; ++i) {
             Entry e;
             ioEntry(ar, e);

@@ -20,8 +20,10 @@
  *
  * The stream is little-endian and fixed-width.  Reading is
  * bounds-checked at every step: a short or corrupt stream raises
- * ParseError, never a host fault, and a forged count cannot drive an
- * allocation past the stream's own size.
+ * ParseError, never a host fault.  A count is bounded by the bytes
+ * left over the smallest encoding of one element; code that allocates
+ * ahead of parsing passes that real minimum, so a forged count costs no
+ * more than the elements that would fit in the rest of the stream.
  */
 
 #ifndef CHERI_OS_SNAPSHOT_ARCHIVE_H
@@ -92,7 +94,7 @@ class Writer
         put<U8>(e);
     }
 
-    void count(U64 n) { u64(n); }
+    void count(U64 n, U64 = 1) { u64(n); }
     void tag(U32 t, const char *) { u32(t); }
     void truncation(const char *) {}
 
@@ -163,13 +165,13 @@ class Reader
         e = static_cast<E>(v);
     }
 
-    /** An element count, bounded by the bytes left: a forged count can
-     *  never drive an allocation past the stream's own size. */
+    /** An element count, bounded by the bytes left over @p minBytes,
+     *  the smallest encoding of one element. */
     void
-    count(U64 &n)
+    count(U64 &n, U64 minBytes = 1)
     {
         n = get<U64>();
-        if (n > remaining())
+        if (n > remaining() / minBytes)
             throw ParseError("corrupt element count");
     }
 

@@ -156,15 +156,17 @@ struct Access
     }
 
     /** A shared-object table: its count, then each object's record
-     *  through @p fn.  Restore creates each object with @p make just
+     *  through @p fn.  Restore bounds the count by @p minRecord, the
+     *  smallest record, and creates each object with @p make just
      *  before its record, or all of them first when records refer to
      *  later ones (@p upfront). */
     template <class Ar, class T, class Make, class Fn>
     static void
-    objects(Ar &ar, Ids<T> &ids, Make &&make, Fn &&fn, bool upfront = false)
+    objects(Ar &ar, Ids<T> &ids, u64 minRecord, Make &&make, Fn &&fn,
+            bool upfront = false)
     {
         u64 n = ids.size();
-        ar.count(n);
+        ar.count(n, minRecord);
         if constexpr (Ar::loading) {
             ids.obj.reserve(n + 1);
             for (u64 i = 0; upfront && i < n; ++i)
@@ -826,8 +828,13 @@ struct Access
 
         ar.tag(SEC_FRAMES, "frames");
         io(ar, kern.phys);
+        // Smallest records: a frame's bytes and tag count; a channel's
+        // buffer count, flags and wait tokens; a vnode's kind, name and
+        // data lengths, child count and two channel ids; an open
+        // file's fields.
         objects(
-            ar, t.frames, [&] { return mintFrame(kern.phys); },
+            ar, t.frames, pageSize + 8,
+            [&] { return mintFrame(kern.phys); },
             [&](auto &f) { io(ar, f); });
 
         ar.tag(SEC_SWAP, "swap");
@@ -835,16 +842,19 @@ struct Access
 
         ar.tag(SEC_VFS, "vfs");
         objects(
-            ar, t.chans, [] { return std::make_shared<ByteChannel>(); },
+            ar, t.chans, 8 + 2 + 2 * 8,
+            [] { return std::make_shared<ByteChannel>(); },
             [&](auto &ch) { io(ar, ch); });
         objects(
-            ar, t.nodes, [] { return std::make_shared<VNode>(); },
+            ar, t.nodes, 1 + 3 * 8 + 2 * 4,
+            [] { return std::make_shared<VNode>(); },
             [&](auto &n) { io(ar, n, t); }, true);
         ref(ar, kern.fs.root, t.nodes, "corrupt vnode id", false);
         if (kern.fs.root->kind != NodeKind::Directory)
             throw ParseError("vfs root is not a directory");
         objects(
-            ar, t.files, [] { return std::make_shared<OpenFile>(); },
+            ar, t.files, 4 + 8 + 4,
+            [] { return std::make_shared<OpenFile>(); },
             [&](auto &of) { io(ar, of, t); });
         ar.u64(t.maxWaitToken);
 

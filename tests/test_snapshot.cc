@@ -14,6 +14,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cstdlib>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -287,6 +293,83 @@ TEST(SnapshotTest, CorruptImageNeverAbortsHost)
     ASSERT_TRUE(snap::restore(kern2, img, &err)) << err;
     expectOracleClean(kern2);
     expectUsable(kern2);
+}
+
+#ifndef __SANITIZE_ADDRESS__
+/** Restore @p honest, then @p forged, with 64 MiB more address space
+ *  than the process maps now; exits 0 iff the first restores and the
+ *  second is refused. */
+[[noreturn]] void
+restoreUnderBudget(const std::vector<u8> &honest,
+                   const std::vector<u8> &forged)
+{
+    std::ifstream statm("/proc/self/statm");
+    u64 pages = 0;
+    statm >> pages;
+    const rlim_t budget =
+        pages * static_cast<u64>(sysconf(_SC_PAGESIZE)) + (64 << 20);
+    const rlimit lim{budget, budget};
+    setrlimit(RLIMIT_AS, &lim);
+    Kernel kern;
+    std::string err;
+    bool ok = snap::restore(kern, honest, &err) &&
+              !snap::restore(kern, forged, &err);
+    std::exit(ok ? 0 : 1);
+}
+#endif
+
+TEST(SnapshotDeathTest, ForgedVnodeCountRefusedWithinAMemoryBudget)
+{
+    GuestSystem sys{Abi::CheriAbi};
+    // A 1 MiB file: its bytes follow the vnode count in the image.
+    VNodeRef big = sys.kern.vfs().createFile("/tmp/big");
+    ASSERT_NE(big, nullptr);
+    big->data.assign(1 << 20, 0x5a);
+    std::string err;
+    std::vector<u8> img = snap::save(sys.kern, &err);
+    ASSERT_FALSE(img.empty()) << err;
+
+    // The VFS section opens with its tag, the channel count (no pipes
+    // here, so 0) and the vnode count.
+    const u8 vfsTag[4] = {0x04, 0x41, 0x48, 0x43};
+    u64 countAt = 0;
+    for (u64 i = 0; i + 20 <= img.size(); ++i) {
+        bool match = std::equal(vfsTag, vfsTag + 4, img.begin() + i) &&
+                     std::all_of(img.begin() + i + 4, img.begin() + i + 12,
+                                 [](u8 b) { return b == 0; });
+        u64 n = 0;
+        for (int k = 0; match && k < 8; ++k)
+            n |= static_cast<u64>(img[i + 12 + k]) << (8 * k);
+        if (match && n >= 1 && n <= 64) {
+            EXPECT_EQ(countAt, 0u) << "two candidate VFS sections";
+            countAt = i + 12;
+        }
+    }
+    ASSERT_NE(countAt, 0u);
+
+    // Forge the count to the bytes left, about a million.  Restore
+    // creates every vnode before it reads their records, so the count
+    // must be refused up front: as many vnodes as bytes left would
+    // take some 200 MiB.
+    const u64 left = img.size() - countAt - 8;
+    std::vector<u8> bad = img;
+    for (int k = 0; k < 8; ++k)
+        bad[countAt + k] = static_cast<u8>(left >> (8 * k));
+
+    // Under a 64 MiB address-space budget, the honest image restores
+    // and the forged one is refused cleanly.  This runs first, while
+    // the process maps no more than it needs.  (AddressSanitizer maps
+    // terabytes of shadow, so no such limit can hold there.)
+#ifndef __SANITIZE_ADDRESS__
+    EXPECT_EXIT(restoreUnderBudget(img, bad), ::testing::ExitedWithCode(0),
+                "");
+#endif
+    Kernel kern2;
+    EXPECT_FALSE(snap::restore(kern2, bad, &err));
+    EXPECT_EQ(err, "restore failed: corrupt element count");
+    EXPECT_EQ(kern2.findProcess(sys.proc->pid()), nullptr);
+    ASSERT_TRUE(snap::restore(kern2, img, &err)) << err;
+    expectOracleClean(kern2);
 }
 
 // --- Scheduled guests across restore ---
