@@ -43,12 +43,6 @@ Capability::length() const
     return static_cast<u64>(len);
 }
 
-bool
-Capability::inBounds(u64 addr, u64 size) const
-{
-    return addr >= _base && u128{addr} + size <= _top;
-}
-
 Capability
 Capability::setAddress(u64 addr) const
 {
@@ -187,7 +181,7 @@ Capability::build(const Capability &authority, const Capability &bits)
 }
 
 CapCheck
-Capability::checkAccess(u64 addr, u64 size, u32 req_perms) const
+Capability::accessFault(u64 addr, u64 size, u32 req_perms) const
 {
     if (!_tag)
         return CapFault::TagViolation;

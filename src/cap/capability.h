@@ -69,7 +69,11 @@ class Capability
     /// @}
 
     /** True when [addr, addr+size) lies within bounds. */
-    bool inBounds(u64 addr, u64 size) const;
+    bool
+    inBounds(u64 addr, u64 size) const
+    {
+        return addr >= _base && u128{addr} + size <= _top;
+    }
 
     /** True when this capability has every permission in @p mask. */
     bool hasPerms(u32 mask) const { return (_perms & mask) == mask; }
@@ -128,9 +132,18 @@ class Capability
     /**
      * Full access check as performed by a capability load/store/fetch:
      * tag set, unsealed, [addr, addr+size) within bounds, and all of
-     * @p req_perms present.  Returns the fault or std::nullopt.
+     * @p req_perms present.  Returns the fault or std::nullopt.  An
+     * access that passes every check is decided inline; any other goes
+     * through the checks in architectural fault-precedence order.
      */
-    CapCheck checkAccess(u64 addr, u64 size, u32 req_perms) const;
+    CapCheck
+    checkAccess(u64 addr, u64 size, u32 req_perms) const
+    {
+        if (_tag && !sealed() && hasPerms(req_perms) &&
+            inBounds(addr, size)) [[likely]]
+            return std::nullopt;
+        return accessFault(addr, size, req_perms);
+    }
 
     /**
      * In-memory representation (16 bytes; the tag travels out of band).
@@ -160,6 +173,10 @@ class Capability
 
     Capability(bool tag, u64 base, u128 top, u64 address, u32 perms,
                OType otype, compress::CapFormat fmt);
+
+    /** checkAccess() after the all-pass test failed: the first check
+     *  that fails, in fault-precedence order. */
+    CapCheck accessFault(u64 addr, u64 size, u32 req_perms) const;
 
     bool _tag = false;
     u64 _base = 0;

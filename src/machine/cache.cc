@@ -1,33 +1,32 @@
 #include "machine/cache.h"
 
-#include <cassert>
+#include <algorithm>
+#include <bit>
+
+#include "os/panic.h"
 
 namespace cheri
 {
 
 Cache::Cache(u64 size_bytes, u32 ways, u64 line_bytes)
-    : lineBytes(line_bytes), numSets(size_bytes / (ways * line_bytes)),
-      ways(ways), sets(numSets * ways)
+    : lineBytes(line_bytes),
+      numSets(ways && line_bytes ? size_bytes / (ways * line_bytes) : 0),
+      ways(ways)
 {
-    assert(numSets > 0);
+    CHERI_KASSERT(std::has_single_bit(lineBytes) &&
+                      std::has_single_bit(numSets),
+                  "cache line size and set count must be powers of two");
+    lineShift = static_cast<u8>(std::countr_zero(lineBytes));
+    setShift = static_cast<u8>(std::countr_zero(numSets));
+    sets.resize(numSets * ways);
 }
 
-bool
-Cache::access(u64 addr)
+void
+Cache::fill(Way *base, u64 tag)
 {
-    ++tick;
-    u64 line = addr / lineBytes;
-    u64 set = line % numSets;
-    u64 tag = line / numSets;
-    Way *base = &sets[set * ways];
-    for (u32 w = 0; w < ways; ++w) {
-        if (base[w].valid && base[w].tag == tag) {
-            base[w].lru = tick;
-            ++_hits;
-            return true;
-        }
-    }
-    // Miss: fill into the LRU way.
+    // Fill into the LRU way.  The scan moves from way 0 to any later way
+    // that is invalid or older, so the last invalid way wins, and an
+    // invalid way 0 competes only through the stale lru flush() left.
     Way *victim = base;
     for (u32 w = 1; w < ways; ++w) {
         if (!base[w].valid || base[w].lru < victim->lru)
@@ -37,7 +36,6 @@ Cache::access(u64 addr)
     victim->tag = tag;
     victim->lru = tick;
     ++_misses;
-    return false;
 }
 
 void
@@ -47,29 +45,30 @@ Cache::flush()
         w.valid = false;
 }
 
+void
+Cache::reset()
+{
+    std::fill(sets.begin(), sets.end(), Way{});
+    tick = 0;
+    _hits = 0;
+    _misses = 0;
+}
+
 CacheHierarchy::CacheHierarchy()
     : l1i(32 * 1024, 4), l1d(32 * 1024, 4), l2(256 * 1024, 8)
 {
 }
 
 HitLevel
-CacheHierarchy::access(u64 addr, u64 size, Access kind)
+CacheHierarchy::accessLines(u64 first, u64 last, Access kind)
 {
     HitLevel worst = HitLevel::L1;
-    const u64 line = 64;
-    u64 first = addr / line;
-    u64 last = (addr + (size ? size - 1 : 0)) / line;
     for (u64 l = first; l <= last; ++l) {
-        u64 a = l * line;
-        Cache &l1 = kind == Access::InstrFetch ? l1i : l1d;
-        if (l1.access(a))
-            continue;
-        if (l2.access(a)) {
-            if (worst == HitLevel::L1)
-                worst = HitLevel::L2;
-            continue;
-        }
-        worst = HitLevel::Memory;
+        HitLevel lvl = accessLine(l * lineBytes, kind);
+        if (lvl == HitLevel::Memory)
+            worst = HitLevel::Memory;
+        else if (lvl == HitLevel::L2 && worst == HitLevel::L1)
+            worst = HitLevel::L2;
     }
     return worst;
 }
@@ -80,6 +79,14 @@ CacheHierarchy::flush()
     l1i.flush();
     l1d.flush();
     l2.flush();
+}
+
+void
+CacheHierarchy::reset()
+{
+    l1i.reset();
+    l1d.reset();
+    l2.reset();
 }
 
 } // namespace cheri

@@ -10,36 +10,40 @@ CostModel::CostModel(Abi abi, MachineFeatures features,
 }
 
 void
-CostModel::fetchAndCount(u64 n)
+CostModel::fetchLines(u64 n)
 {
-    _instructions += n;
-    _cycles += n;
-    _codeBytes += n * 4;
-    // Stream the fetch through the L1I, one access per 64-byte line.
-    for (u64 i = 0; i < n; ++i) {
-        u64 fetch_pc = pc;
-        pc += 4;
-        if (pc >= 0x120000000 + codeFootprint)
-            pc = 0x120000000;
-        if ((fetch_pc & 63) == 0) {
-            HitLevel lvl =
-                cacheHier.access(fetch_pc, 4, Access::InstrFetch);
-            if (lvl == HitLevel::L2)
-                _cycles += penalties.l2Hit;
-            else if (lvl == HitLevel::Memory)
-                _cycles += penalties.memory;
+    const u64 end = codeBase + codeFootprint;
+    while (n) {
+        if (pc >= end || end > ~u64{0} - 3) {
+            // Past the loop's end, or a loop ending so near 2^64 that
+            // the PC itself could overflow (only a restored image gets
+            // here): one instruction exactly as the plain walk does.
+            u64 fetch_pc = pc;
+            pc += 4;
+            if (pc >= end)
+                pc = codeBase;
+            if ((fetch_pc & 63) == 0)
+                charge(cacheHier.accessLine(fetch_pc, Access::InstrFetch));
+            --n;
+            continue;
         }
+        // The wrap follows instruction k of this pass.  The fetches
+        // before it are at pc + 4i, all below end; those that start a
+        // line go to the L1I.
+        u64 gap = end - pc;
+        u64 k = gap / 4 + (gap % 4 != 0);
+        u64 take = n < k ? n : k;
+        if ((pc & 3) == 0) {
+            u64 first = (64 - (pc & 63)) & 63;
+            u64 span = 4 * (take - 1);
+            u64 lines = first <= span ? (span - first) / 64 + 1 : 0;
+            for (u64 i = 0; i < lines; ++i)
+                charge(cacheHier.accessLine(pc + first + 64 * i,
+                                            Access::InstrFetch));
+        }
+        n -= take;
+        pc = take == k ? codeBase : pc + 4 * take;
     }
-}
-
-void
-CostModel::dataAccess(u64 va, u64 size, Access kind)
-{
-    HitLevel lvl = cacheHier.access(va, size, kind);
-    if (lvl == HitLevel::L2)
-        _cycles += penalties.l2Hit;
-    else if (lvl == HitLevel::Memory)
-        _cycles += penalties.memory;
 }
 
 void
@@ -51,24 +55,6 @@ CostModel::asanCheck(u64 va)
     // libraries) is instrumented, as in the paper's 3.29x measurement.
     fetchAndCount(18);
     dataAccess((va >> 3) + 0x7fff8000, 1, Access::DataLoad);
-}
-
-void
-CostModel::load(u64 va, u64 size)
-{
-    if (_features.asanInstrumentation)
-        asanCheck(va);
-    fetchAndCount(1);
-    dataAccess(va, size, Access::DataLoad);
-}
-
-void
-CostModel::store(u64 va, u64 size)
-{
-    if (_features.asanInstrumentation)
-        asanCheck(va);
-    fetchAndCount(1);
-    dataAccess(va, size, Access::DataStore);
 }
 
 void
@@ -164,9 +150,8 @@ CostModel::reset()
     _itlbMisses = 0;
     _dtlbAccesses = 0;
     _dtlbMisses = 0;
-    pc = 0x120000000;
-    cacheHier.flush();
-    cacheHier = CacheHierarchy();
+    pc = codeBase;
+    cacheHier.reset();
 }
 
 } // namespace cheri

@@ -123,10 +123,24 @@ class CostModel
     }
 
     /** A data load of @p size bytes at guest address @p va. */
-    void load(u64 va, u64 size);
+    void
+    load(u64 va, u64 size)
+    {
+        if (_features.asanInstrumentation)
+            asanCheck(va);
+        fetchAndCount(1);
+        dataAccess(va, size, Access::DataLoad);
+    }
 
     /** A data store of @p size bytes at guest address @p va. */
-    void store(u64 va, u64 size);
+    void
+    store(u64 va, u64 size)
+    {
+        if (_features.asanInstrumentation)
+            asanCheck(va);
+        fetchAndCount(1);
+        dataAccess(va, size, Access::DataStore);
+    }
 
     /**
      * Access to a global through the GOT entry at @p got_va.  mips64:
@@ -201,6 +215,8 @@ class CostModel
     u64 itlbMisses() const { return _itlbMisses; }
     u64 dtlbAccesses() const { return _dtlbAccesses; }
     u64 dtlbMisses() const { return _dtlbMisses; }
+    /** The synthetic PC the next instruction is fetched from. */
+    u64 fetchPc() const { return pc; }
     /// @}
 
     void reset();
@@ -211,11 +227,51 @@ class CostModel
     /** Checkpoint/restore preserves cost accounting bit-exactly. */
     friend struct snap::Access;
 
-    /** Fetch @p n instructions through the L1I and count them. */
-    void fetchAndCount(u64 n);
+    /** Base of the synthetic PC's hot-loop code region. */
+    static constexpr u64 codeBase = 0x120000000;
+
+    /**
+     * Fetch @p n instructions through the L1I and count them: one L1I
+     * access per fetch that starts a 64-byte line, with the PC wrapping
+     * to codeBase at codeBase + codeFootprint.  A run that starts no
+     * line and does not wrap is charged here; anything else steps
+     * line by line in fetchLines().
+     */
+    void
+    fetchAndCount(u64 n)
+    {
+        _instructions += n;
+        _cycles += n;
+        _codeBytes += n * 4;
+        u64 off = pc & 63;
+        u64 end = codeBase + codeFootprint;
+        if (off != 0 && n <= (64 - off) / 4 && pc < end && end - pc > 4 * n)
+            pc += 4 * n;
+        else
+            fetchLines(n);
+    }
+
+    /** The PC walk of fetchAndCount() for runs that start a line or
+     *  wrap: exactly the cache accesses and final PC of stepping one
+     *  instruction at a time. */
+    void fetchLines(u64 n);
+
+    /** Charge the cycles of the level that serviced an access. */
+    void
+    charge(HitLevel lvl)
+    {
+        if (lvl == HitLevel::L2)
+            _cycles += penalties.l2Hit;
+        else if (lvl == HitLevel::Memory)
+            _cycles += penalties.memory;
+    }
 
     /** Charge the cache outcome of a data access. */
-    void dataAccess(u64 va, u64 size, Access kind);
+    void
+    dataAccess(u64 va, u64 size, Access kind)
+    {
+        charge(cacheHier.access(va, size, kind));
+    }
 
     /** ASan shadow check for an access at @p va. */
     void asanCheck(u64 va);
@@ -232,7 +288,7 @@ class CostModel
     u64 _itlbMisses = 0;
     u64 _dtlbAccesses = 0;
     u64 _dtlbMisses = 0;
-    u64 pc = 0x120000000;
+    u64 pc = codeBase;
     /** Hot-loop code footprint the synthetic PC wraps within. */
     u64 codeFootprint = 16 * 1024;
 };

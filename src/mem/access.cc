@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "machine/cost_model.h"
-
 namespace cheri
 {
 
@@ -38,26 +36,6 @@ MemAccess::detach()
     dtlb.fill(Entry{});
     itlb.fill(Entry{});
     ++_fetchGen;
-}
-
-void
-MemAccess::countDataHit()
-{
-    ++st.dataHits;
-    if (counters)
-        ++counters[TlbDataHit];
-    if (cost)
-        cost->tlbAccess(false, true);
-}
-
-void
-MemAccess::countFetchHit()
-{
-    ++st.fetchHits;
-    if (counters)
-        ++counters[TlbFetchHit];
-    if (cost)
-        cost->tlbAccess(true, true);
 }
 
 Frame *

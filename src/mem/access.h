@@ -33,12 +33,11 @@
 
 #include "cap/capability.h"
 #include "cap/fault.h"
+#include "machine/cost_model.h"
 #include "mem/vm.h"
 
 namespace cheri
 {
-
-class CostModel;
 
 /**
  * Indices into the per-ABI TLB counter block exported by obs::Metrics.
@@ -123,7 +122,15 @@ class MemAccess
     u64 fetchGen() const { return _fetchGen; }
     /** Count a decode-cache hit as a modelled iTLB hit (the fetch never
      *  reached memory but the translation was exercised). */
-    void countFetchHit();
+    void
+    countFetchHit()
+    {
+        ++st.fetchHits;
+        if (counters)
+            ++counters[TlbFetchHit];
+        if (cost)
+            cost->tlbAccess(true, true);
+    }
     /// @}
 
     /** @name Invalidation interface (fired by AddressSpace) */
@@ -191,7 +198,15 @@ class MemAccess
         return as ? as->lastWalkFault() : CapFault::PageFault;
     }
 
-    void countDataHit();
+    void
+    countDataHit()
+    {
+        ++st.dataHits;
+        if (counters)
+            ++counters[TlbDataHit];
+        if (cost)
+            cost->tlbAccess(false, true);
+    }
 
     AddressSpace *as;
     CostModel *cost = nullptr;

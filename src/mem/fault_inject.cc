@@ -44,9 +44,8 @@ FaultInjector::disarmAll()
 }
 
 bool
-FaultInjector::shouldFail(FaultPoint point)
+FaultInjector::decide(FaultPoint point, Arm &a)
 {
-    Arm &a = arms[index(point)];
     ++a.seen;
     bool fire = false;
     switch (a.mode) {
@@ -69,10 +68,7 @@ FaultInjector::shouldFail(FaultPoint point)
     // counter tracks what the choke point actually saw.
     if (tap)
         fire = tap->onFault(point, fire);
-    a.fired += fire;
-    if (observer)
-        observer(point, fire);
-    return fire;
+    return settle(point, a, fire);
 }
 
 bool
@@ -82,10 +78,16 @@ FaultInjector::confirm(FaultPoint point, bool decision)
     ++a.seen;
     if (tap)
         decision = tap->onFault(point, decision);
-    a.fired += decision;
-    if (observer)
-        observer(point, decision);
-    return decision;
+    return settle(point, a, decision);
+}
+
+bool
+FaultInjector::settle(FaultPoint point, Arm &a, bool fire)
+{
+    a.fired += fire;
+    if (fire && observer)
+        observer(point);
+    return fire;
 }
 
 void

@@ -93,9 +93,19 @@ class FaultInjector
      * Report one event at @p point; returns true when the injector
      * decides this event fails.  Called by the choke points themselves;
      * counts events even while disarmed so Nth-event arming composes
-     * with prior traffic predictably.
+     * with prior traffic predictably.  A disarmed point with no tap
+     * installed costs one branch and the count.
      */
-    bool shouldFail(FaultPoint point);
+    bool
+    shouldFail(FaultPoint point)
+    {
+        Arm &a = arms[index(point)];
+        if (a.mode == Mode::Off && !tap) [[likely]] {
+            ++a.seen;
+            return false;
+        }
+        return decide(point, a);
+    }
 
     /**
      * Report a decision the KERNEL already made at @p point (e.g. the
@@ -111,11 +121,14 @@ class FaultInjector
     void setTap(FaultTap *t) { tap = t; }
 
     /**
-     * Observational hook called with every final decision (after tap
-     * substitution); the kernel's flight recorder uses it.  Unlike the
-     * tap it has no authority over the decision.
+     * Observational hook called with every decision that fires (after
+     * tap substitution), from both shouldFail() and confirm(); the
+     * kernel's flight recorder uses it.  Declined decisions are not
+     * reported: they are one per memory access and carry no
+     * diagnostic weight.  Unlike the tap it has no authority over the
+     * decision.
      */
-    void setObserver(std::function<void(FaultPoint, bool)> fn)
+    void setObserver(std::function<void(FaultPoint)> fn)
     {
         observer = std::move(fn);
     }
@@ -159,9 +172,15 @@ class FaultInjector
 
     static unsigned index(FaultPoint p) { return static_cast<unsigned>(p); }
 
+    /** shouldFail() for an armed point or with a tap installed. */
+    bool decide(FaultPoint point, Arm &a);
+
+    /** Count a final decision and report it to the observer. */
+    bool settle(FaultPoint point, Arm &a, bool fire);
+
     std::array<Arm, numFaultPoints> arms{};
     FaultTap *tap = nullptr;
-    std::function<void(FaultPoint, bool)> observer;
+    std::function<void(FaultPoint)> observer;
 };
 
 } // namespace cheri

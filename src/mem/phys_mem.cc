@@ -119,8 +119,6 @@ PhysMem::liveFrames() const
 bool
 PhysMem::corruptCapLoad(Frame &frame, u64 off, u64 va)
 {
-    if (!injector->shouldFail(FaultPoint::TagBitFlip))
-        return false;
     // The modeled bit flip: the granule's tag is gone before the load
     // completes, so the corrupted pattern can never decode back into a
     // dereferenceable capability.
@@ -133,8 +131,6 @@ PhysMem::corruptCapLoad(Frame &frame, u64 off, u64 va)
 bool
 PhysMem::corruptDataLoad(u64 va)
 {
-    if (!injector->shouldFail(FaultPoint::DataBitFlip))
-        return false;
     if (corruption)
         corruption(FaultPoint::DataBitFlip, va);
     return true;

@@ -204,13 +204,15 @@ class PhysMem
      * corrupted granule can never surface as a forged capability: its
      * tag is gone before any load completes.
      *
-     * The injector-null fast path is inline so uninstrumented builds
-     * pay one predictable branch on the access hot path.
+     * The injector's decision is taken inline, so a disarmed point
+     * costs a predictable branch on the access hot path; only a fired
+     * decision leaves the header.
      */
     bool
     injectCapLoadCorruption(Frame &frame, u64 off, u64 va)
     {
-        return injector && corruptCapLoad(frame, off, va);
+        return injector && injector->shouldFail(FaultPoint::TagBitFlip) &&
+               corruptCapLoad(frame, off, va);
     }
 
     /** DataBitFlip arm for a plain data load at @p va.  Fires at most
@@ -219,7 +221,8 @@ class PhysMem
     bool
     injectDataLoadCorruption(u64 va)
     {
-        return injector && corruptDataLoad(va);
+        return injector && injector->shouldFail(FaultPoint::DataBitFlip) &&
+               corruptDataLoad(va);
     }
 
     /** Frames currently live (allocated and not yet destroyed). */
@@ -252,7 +255,8 @@ class PhysMem
     /** Run reclaim if needed so @p n more frames fit; true on success. */
     bool makeRoom(u64 n, const void *requester);
 
-    /** Out-of-line halves of the corruption probes (injector != null). */
+    /** Out-of-line halves of the corruption probes, after the
+     *  injector fired; both return true. */
     bool corruptCapLoad(Frame &frame, u64 off, u64 va);
     bool corruptDataLoad(u64 va);
 

@@ -70,6 +70,79 @@ TEST(Workloads, AluKernelsAreWithinNoise)
     }
 }
 
+// --- Figure 4 counter pins ---
+//
+// Simulated counters are the paper's currency: host-time work on the
+// cost model, caches or memory path must leave every one of them
+// bit-identical.  The constants below are the instructions, cycles, L2
+// misses and code bytes of every Figure 4 kernel under both ABIs at one
+// fixed ASLR slide (folded into an FNV-1a digest), plus initdb under
+// mips64, CheriABI and ASan.  A pin that moves means a simulated number
+// moved: say which and why, then re-pin.
+
+constexpr u64 pinFig4Slide = 1000;
+constexpr u64 pinFig4Fnv = 8620639773456737674ULL;
+constexpr u64 pinXalanCheriCycles = 765897;
+constexpr u64 pinXalanCheriL2Misses = 5659;
+
+struct InitdbPin
+{
+    u64 instructions, cycles, l2Misses, codeBytes;
+};
+constexpr InitdbPin pinInitdbMips{480833, 1018133, 6079, 1923332};
+constexpr InitdbPin pinInitdbCheri{490479, 1097569, 6691, 1961916};
+constexpr InitdbPin pinInitdbAsan{2599315, 3378405, 8512, 10397260};
+
+u64
+fnv1aWords(std::initializer_list<u64> words, u64 h)
+{
+    for (u64 w : words) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (w >> (8 * i)) & 0xff;
+            h *= 1099511628211ULL;
+        }
+    }
+    return h;
+}
+
+void
+expectInitdbPin(const InitdbResult &r, const InitdbPin &pin,
+                const char *what)
+{
+    EXPECT_EQ(r.instructions, pin.instructions) << what;
+    EXPECT_EQ(r.cycles, pin.cycles) << what;
+    EXPECT_EQ(r.l2Misses, pin.l2Misses) << what;
+    EXPECT_EQ(r.codeBytes, pin.codeBytes) << what;
+}
+
+TEST(Fig4CounterPin, KernelCountersBothAbis)
+{
+    u64 h = 1469598103934665603ULL;
+    u64 xalanCycles = 0, xalanL2 = 0;
+    for (const Workload &w : figure4Workloads()) {
+        for (Abi abi : {Abi::Mips64, Abi::CheriAbi}) {
+            WorkloadResult r = runWorkload(w, abi, {}, pinFig4Slide);
+            h = fnv1aWords(
+                {r.instructions, r.cycles, r.l2Misses, r.codeBytes}, h);
+            if (w.name == "spec2006-xalancbmk" && abi == Abi::CheriAbi) {
+                xalanCycles = r.cycles;
+                xalanL2 = r.l2Misses;
+            }
+        }
+    }
+    EXPECT_EQ(xalanCycles, pinXalanCheriCycles);
+    EXPECT_EQ(xalanL2, pinXalanCheriL2Misses);
+    EXPECT_EQ(h, pinFig4Fnv);
+}
+
+TEST(Fig4CounterPin, InitdbCounters)
+{
+    expectInitdbPin(runInitdb(Abi::Mips64), pinInitdbMips, "mips64");
+    expectInitdbPin(runInitdb(Abi::CheriAbi), pinInitdbCheri, "CheriABI");
+    expectInitdbPin(runInitdb(Abi::Mips64, {}, true), pinInitdbAsan,
+                    "ASan");
+}
+
 TEST(MiniDb, InitdbRunsUnderBothAbis)
 {
     InitdbResult mips = runInitdb(Abi::Mips64);

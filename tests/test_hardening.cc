@@ -516,6 +516,32 @@ TEST(HardeningPanic, SchedulerDrainAbsorbsPanicAndStaysUsable)
         << rep.violations.front().detail;
 }
 
+TEST(HardeningRecorder, LogsInjectedFaultsNotDeclinedProbes)
+{
+    Kernel kern{KernelConfig{}};
+    SchedGuest g = makeGuest(kern, Abi::Mips64, "probes");
+    Process &proc = *g.proc;
+    u64 word = 0;
+    // Every load probes DataBitFlip; none of the declined probes lands
+    // in the flight recorder.
+    for (int i = 0; i < 10; ++i)
+        ASSERT_FALSE(proc.mem().read(g.data, &word, 8).has_value());
+    EXPECT_GE(kern.faultInjector().events(FaultPoint::DataBitFlip), 10u);
+    EXPECT_EQ(countEvents(kern, panic::EventKind::FaultDecision), 0u);
+
+    kern.faultInjector().failAfter(FaultPoint::DataBitFlip, 3);
+    for (int i = 0; i < 3; ++i)
+        proc.mem().read(g.data, &word, 8);
+    ASSERT_EQ(countEvents(kern, panic::EventKind::FaultDecision), 1u);
+    for (const panic::Event &e : kern.flightRecorder().entries()) {
+        if (e.kind != panic::EventKind::FaultDecision)
+            continue;
+        EXPECT_EQ(e.a, static_cast<u64>(FaultPoint::DataBitFlip));
+        EXPECT_EQ(e.b, 1u);
+    }
+    EXPECT_EQ(kern.hardeningStats().machineChecks, 1u);
+}
+
 TEST(HardeningRecorder, RingKeepsLastEventsInOrder)
 {
     KernelConfig cfg;

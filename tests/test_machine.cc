@@ -5,9 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
 #include "machine/cache.h"
 #include "machine/cost_model.h"
 #include "machine/regs.h"
+#include "rng_util.h"
 
 namespace cheri
 {
@@ -159,6 +163,295 @@ TEST(CostModel, ResetClearsEverything)
     EXPECT_EQ(m.instructions(), 0u);
     EXPECT_EQ(m.cycles(), 0u);
     EXPECT_EQ(m.l2Misses(), 0u);
+}
+
+// --- Differential tests of the cost-model hot path ---
+//
+// The reference models below are verbatim copies of the cache, the
+// hierarchy walk and the per-instruction fetch loop as they were before
+// the hot path moved to shift indexing, inline single-line accesses and
+// line-stepped fetch charging.  The fast model must make exactly their
+// decisions: every hit and miss, every way's tag/valid/lru, and every
+// simulated counter.
+
+struct RefCache
+{
+    struct Way
+    {
+        u64 tag = 0;
+        bool valid = false;
+        u64 lru = 0;
+    };
+
+    RefCache(u64 size_bytes, u32 ways, u64 line_bytes = 64)
+        : lineBytes(line_bytes), numSets(size_bytes / (ways * line_bytes)),
+          ways(ways), sets(numSets * ways)
+    {
+    }
+
+    bool
+    access(u64 addr)
+    {
+        ++tick;
+        u64 line = addr / lineBytes;
+        u64 set = line % numSets;
+        u64 tag = line / numSets;
+        Way *base = &sets[set * ways];
+        for (u32 w = 0; w < ways; ++w) {
+            if (base[w].valid && base[w].tag == tag) {
+                base[w].lru = tick;
+                ++hits;
+                return true;
+            }
+        }
+        // Miss: fill into the LRU way.
+        Way *victim = base;
+        for (u32 w = 1; w < ways; ++w) {
+            if (!base[w].valid || base[w].lru < victim->lru)
+                victim = &base[w];
+        }
+        victim->valid = true;
+        victim->tag = tag;
+        victim->lru = tick;
+        ++misses;
+        return false;
+    }
+
+    void
+    flush()
+    {
+        for (Way &w : sets)
+            w.valid = false;
+    }
+
+    u64 lineBytes;
+    u64 numSets;
+    u32 ways;
+    u64 tick = 0;
+    u64 hits = 0;
+    u64 misses = 0;
+    std::vector<Way> sets;
+};
+
+struct RefHierarchy
+{
+    HitLevel
+    access(u64 addr, u64 size, Access kind)
+    {
+        HitLevel worst = HitLevel::L1;
+        const u64 line = 64;
+        u64 first = addr / line;
+        u64 last = (addr + (size ? size - 1 : 0)) / line;
+        for (u64 l = first; l <= last; ++l) {
+            u64 a = l * line;
+            RefCache &l1 = kind == Access::InstrFetch ? l1i : l1d;
+            if (l1.access(a))
+                continue;
+            if (l2.access(a)) {
+                if (worst == HitLevel::L1)
+                    worst = HitLevel::L2;
+                continue;
+            }
+            worst = HitLevel::Memory;
+        }
+        return worst;
+    }
+
+    RefCache l1i{32 * 1024, 4};
+    RefCache l1d{32 * 1024, 4};
+    RefCache l2{256 * 1024, 8};
+};
+
+/** The cost model's fetch, load and store charging, per instruction. */
+struct RefCost
+{
+    void
+    fetchAndCount(u64 n)
+    {
+        instructions += n;
+        cycles += n;
+        codeBytes += n * 4;
+        for (u64 i = 0; i < n; ++i) {
+            u64 fetch_pc = pc;
+            pc += 4;
+            if (pc >= 0x120000000 + codeFootprint)
+                pc = 0x120000000;
+            if ((fetch_pc & 63) == 0)
+                charge(h.access(fetch_pc, 4, Access::InstrFetch));
+        }
+    }
+
+    void
+    charge(HitLevel lvl)
+    {
+        if (lvl == HitLevel::L2)
+            cycles += 10;
+        else if (lvl == HitLevel::Memory)
+            cycles += 80;
+    }
+
+    void
+    loadOrStore(u64 va, u64 size, Access kind)
+    {
+        fetchAndCount(1);
+        charge(h.access(va, size, kind));
+    }
+
+    RefHierarchy h;
+    u64 instructions = 0;
+    u64 cycles = 0;
+    u64 codeBytes = 0;
+    u64 pc = 0x120000000;
+    u64 codeFootprint = 16 * 1024;
+};
+
+void
+expectSameCache(const Cache &c, const RefCache &r)
+{
+    EXPECT_EQ(c.clock(), r.tick);
+    EXPECT_EQ(c.hits(), r.hits);
+    EXPECT_EQ(c.misses(), r.misses);
+    const std::vector<Cache::Way> &ways = c.wayState();
+    ASSERT_EQ(ways.size(), r.sets.size());
+    for (u64 i = 0; i < ways.size(); ++i) {
+        ASSERT_EQ(ways[i].tag, r.sets[i].tag) << "way " << i;
+        ASSERT_EQ(ways[i].valid, r.sets[i].valid) << "way " << i;
+        ASSERT_EQ(ways[i].lru, r.sets[i].lru) << "way " << i;
+    }
+}
+
+const std::vector<unsigned> cacheSeeds =
+    test::seedsFromEnv("CHERI_TEST_CACHE_SEEDS", 3);
+
+class CacheDifferential : public ::testing::TestWithParam<unsigned>
+{
+};
+
+/** Both geometries in use (L1 128 sets x 4 ways, L2 512 x 8) against
+ *  the reference, over a seeded address stream that mixes a hot set,
+ *  conflict-heavy strides and wild addresses, with flush() and reset()
+ *  inserted mid-stream. */
+TEST_P(CacheDifferential, HitsMissesAndWayStateMatchReference)
+{
+    CHERI_TRACE_SEED(GetParam(), "CHERI_TEST_CACHE_SEEDS");
+    struct Geometry
+    {
+        u64 size;
+        u32 ways;
+    };
+    for (Geometry g : {Geometry{32 * 1024, 4}, Geometry{256 * 1024, 8}}) {
+        SCOPED_TRACE(g.size);
+        std::mt19937_64 rng(GetParam());
+        Cache c(g.size, g.ways);
+        RefCache r(g.size, g.ways);
+        // Lines that collide in one set of this geometry.
+        const u64 conflictStride = g.size / g.ways;
+        for (int i = 0; i < 60000; ++i) {
+            u64 pick = rng() % 1000;
+            if (pick == 0) {
+                c.flush();
+                r.flush();
+                continue;
+            }
+            if (pick == 1) {
+                c.reset();
+                r = RefCache(g.size, g.ways);
+                continue;
+            }
+            u64 addr;
+            if (pick < 500)
+                addr = 0x10000 + (rng() % 4096) * 8;
+            else if (pick < 900)
+                addr = 0x400000 + (rng() % (3 * g.ways)) * conflictStride +
+                       rng() % 64;
+            else
+                addr = rng();
+            ASSERT_EQ(c.access(addr), r.access(addr)) << "access " << i;
+        }
+        expectSameCache(c, r);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CacheDifferential,
+                         ::testing::ValuesIn(cacheSeeds));
+
+class FetchDifferential : public ::testing::TestWithParam<unsigned>
+{
+};
+
+/** Fetch charging against the per-instruction loop: random run lengths
+ *  (n = 0, runs inside a line, line-crossing runs and runs past the
+ *  16 KiB wrap) mixed with loads and stores of any size, and reset()
+ *  mid-stream.  Compared after every step: instructions, cycles, code
+ *  bytes, the PC and the miss counters. */
+TEST_P(FetchDifferential, CountersAndPcMatchPerInstructionLoop)
+{
+    CHERI_TRACE_SEED(GetParam(), "CHERI_TEST_CACHE_SEEDS");
+    std::mt19937_64 rng(GetParam());
+    CostModel m(Abi::Mips64);
+    RefCost r;
+    for (int i = 0; i < 20000; ++i) {
+        u64 pick = rng() % 100;
+        if (pick == 0) {
+            m.reset();
+            r = RefCost();
+        } else if (pick < 50) {
+            u64 n = rng() % 20;
+            m.alu(n);
+            r.fetchAndCount(n);
+        } else if (pick < 60) {
+            u64 n = rng() % 200;
+            m.alu(n);
+            r.fetchAndCount(n);
+        } else if (pick < 63) {
+            u64 n = 4000 + rng() % 40000;
+            m.alu(n);
+            r.fetchAndCount(n);
+        } else {
+            u64 va = 0x100000 + rng() % (1 << 20);
+            u64 size = rng() % 4 == 0 ? rng() % 300 : 8;
+            if (pick < 85) {
+                m.load(va, size);
+                r.loadOrStore(va, size, Access::DataLoad);
+            } else {
+                m.store(va, size);
+                r.loadOrStore(va, size, Access::DataStore);
+            }
+        }
+        ASSERT_EQ(m.instructions(), r.instructions) << "step " << i;
+        ASSERT_EQ(m.cycles(), r.cycles) << "step " << i;
+        ASSERT_EQ(m.codeBytes(), r.codeBytes) << "step " << i;
+        ASSERT_EQ(m.fetchPc(), r.pc) << "step " << i;
+        ASSERT_EQ(m.cache().l1iMisses(), r.h.l1i.misses) << "step " << i;
+        ASSERT_EQ(m.cache().l1dMisses(), r.h.l1d.misses) << "step " << i;
+        ASSERT_EQ(m.l2Misses(), r.h.l2.misses) << "step " << i;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FetchDifferential,
+                         ::testing::ValuesIn(cacheSeeds));
+
+TEST(FetchDifferential, EveryRunLengthFromEveryLineOffset)
+{
+    // Exhaustive over the short runs the inline path decides: each
+    // start offset in a line (and across the wrap) times n = 0..80.
+    for (u64 skip = 0; skip < 16; ++skip) {
+        for (u64 n = 0; n <= 80; ++n) {
+            for (u64 lead : {u64{0}, u64{4096 - 20}}) {
+                CostModel m(Abi::Mips64);
+                RefCost r;
+                m.alu(lead + skip);
+                r.fetchAndCount(lead + skip);
+                m.alu(n);
+                r.fetchAndCount(n);
+                m.alu(3);
+                r.fetchAndCount(3);
+                ASSERT_EQ(m.cycles(), r.cycles) << skip << " " << n;
+                ASSERT_EQ(m.fetchPc(), r.pc) << skip << " " << n;
+                ASSERT_EQ(m.cache().l1iMisses(), r.h.l1i.misses);
+            }
+        }
+    }
 }
 
 TEST(Regs, StackAliasConventionalRegister)

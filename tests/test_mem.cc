@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "mem/phys_mem.h"
@@ -677,6 +678,96 @@ TEST_F(MemTest, FaultInjectorSeededReplayIsDeterministic)
     };
     EXPECT_EQ(run(42), run(42)) << "same seed must replay identically";
     EXPECT_NE(run(42), run(43));
+}
+
+TEST_F(MemTest, DisarmedPointStillCountsEvents)
+{
+    FaultInjector inj;
+    phys.setFaultInjector(&inj);
+    Frame f;
+    for (int i = 0; i < 5; ++i) {
+        EXPECT_FALSE(inj.shouldFail(FaultPoint::SwapOut));
+        EXPECT_FALSE(phys.injectDataLoadCorruption(0x1000));
+        EXPECT_FALSE(phys.injectCapLoadCorruption(f, 0, 0x1000));
+    }
+    EXPECT_EQ(inj.events(FaultPoint::SwapOut), 5u);
+    EXPECT_EQ(inj.events(FaultPoint::DataBitFlip), 5u);
+    EXPECT_EQ(inj.events(FaultPoint::TagBitFlip), 5u);
+    EXPECT_EQ(inj.totalInjected(), 0u);
+    // Nth-event arming counts from the arming, whatever came before.
+    inj.failAfter(FaultPoint::DataBitFlip, 2);
+    EXPECT_FALSE(phys.injectDataLoadCorruption(0x1000));
+    EXPECT_TRUE(phys.injectDataLoadCorruption(0x1000));
+    EXPECT_EQ(inj.events(FaultPoint::DataBitFlip), 7u);
+    EXPECT_EQ(inj.injected(FaultPoint::DataBitFlip), 1u);
+    phys.setFaultInjector(nullptr);
+}
+
+/** Records every tap query; optionally overrides decisions. */
+struct CountingTap : FaultTap
+{
+    std::vector<std::pair<FaultPoint, bool>> asked;
+    bool forceFire = false;
+
+    bool
+    onFault(FaultPoint point, bool decision) override
+    {
+        asked.emplace_back(point, decision);
+        return decision || forceFire;
+    }
+};
+
+TEST_F(MemTest, FaultTapIsAskedOnEveryEvent)
+{
+    // Record/replay depends on it: a disarmed point still reaches the
+    // tap, which may substitute a fired decision.
+    FaultInjector inj;
+    CountingTap tap;
+    inj.setTap(&tap);
+    for (int i = 0; i < 3; ++i)
+        EXPECT_FALSE(inj.shouldFail(FaultPoint::DataBitFlip));
+    ASSERT_EQ(tap.asked.size(), 3u);
+    for (const auto &[point, decision] : tap.asked) {
+        EXPECT_EQ(point, FaultPoint::DataBitFlip);
+        EXPECT_FALSE(decision);
+    }
+    tap.forceFire = true;
+    EXPECT_TRUE(inj.shouldFail(FaultPoint::DataBitFlip));
+    EXPECT_EQ(inj.injected(FaultPoint::DataBitFlip), 1u);
+    EXPECT_EQ(inj.events(FaultPoint::DataBitFlip), 4u);
+    EXPECT_TRUE(inj.confirm(FaultPoint::DeadlockKill, false));
+    EXPECT_EQ(tap.asked.size(), 5u);
+    inj.setTap(nullptr);
+    EXPECT_FALSE(inj.shouldFail(FaultPoint::DataBitFlip));
+    EXPECT_EQ(tap.asked.size(), 5u);
+}
+
+TEST_F(MemTest, FaultObserverSeesFiredDecisionsOnly)
+{
+    FaultInjector inj;
+    std::vector<FaultPoint> seen;
+    inj.setObserver([&](FaultPoint p) { seen.push_back(p); });
+    for (int i = 0; i < 4; ++i)
+        inj.shouldFail(FaultPoint::FrameAlloc);
+    EXPECT_TRUE(seen.empty()) << "declined decisions are not reported";
+    inj.failAfter(FaultPoint::FrameAlloc, 2);
+    EXPECT_FALSE(inj.shouldFail(FaultPoint::FrameAlloc));
+    EXPECT_TRUE(seen.empty());
+    EXPECT_TRUE(inj.shouldFail(FaultPoint::FrameAlloc));
+    EXPECT_EQ(seen, std::vector<FaultPoint>{FaultPoint::FrameAlloc});
+    // Kernel decisions routed through confirm() follow the same rule,
+    // and so do taps that turn a declined decision into a fired one.
+    EXPECT_FALSE(inj.confirm(FaultPoint::DeadlockKill, false));
+    EXPECT_EQ(seen.size(), 1u);
+    EXPECT_TRUE(inj.confirm(FaultPoint::DeadlockKill, true));
+    CountingTap tap;
+    tap.forceFire = true;
+    inj.setTap(&tap);
+    EXPECT_TRUE(inj.shouldFail(FaultPoint::SwapIn));
+    inj.setTap(nullptr);
+    EXPECT_EQ(seen, (std::vector<FaultPoint>{FaultPoint::FrameAlloc,
+                                             FaultPoint::DeadlockKill,
+                                             FaultPoint::SwapIn}));
 }
 
 TEST_F(MemTest, InjectedSwapInFailureKeepsSlotForRetry)

@@ -8,20 +8,20 @@ set -euo pipefail
 src_dir="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${CHERI_VERIFY_BUILD_DIR:-$src_dir/build-verify}"
 
-# Raw-assert lint: kernel, memory, checking and observability code
-# must fail through the structured panic path (CHERI_KASSERT ->
-# flight-recorder capture + snapshot + transactional reset), never
-# through a host abort.  The panic sink's own abort() fallback
-# (src/os/panic.h) and compile-time static_asserts are the only
-# legitimate exceptions.
+# Raw-assert lint: kernel, memory, machine-model, checking and
+# observability code must fail through the structured panic path
+# (CHERI_KASSERT -> flight-recorder capture + snapshot + transactional
+# reset), never through a host abort.  The panic sink's own abort()
+# fallback (src/os/panic.h) and compile-time static_asserts are the
+# only legitimate exceptions.
 if grep -rnE '(^|[^_[:alnum:]])(assert|abort)\(' \
-        "$src_dir/src/os" "$src_dir/src/mem" \
+        "$src_dir/src/os" "$src_dir/src/mem" "$src_dir/src/machine" \
         "$src_dir/src/check" "$src_dir/src/obs" \
         --include='*.cc' --include='*.h' \
     | grep -v 'CHERI_KASSERT' | grep -v 'static_assert' \
     | grep -v 'src/os/panic\.h'; then
     echo "cheri_verify: raw assert()/abort() in src/os, src/mem," \
-         "src/check or src/obs (use CHERI_KASSERT)" >&2
+         "src/machine, src/check or src/obs (use CHERI_KASSERT)" >&2
     exit 1
 fi
 
