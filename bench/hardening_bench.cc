@@ -13,14 +13,9 @@
  *    Measured as nanoseconds per scan over a population of blocked
  *    (but host-wakeable, so never killed) ev_wait contexts.
  *
- * --json emits machine-readable results; --check exits nonzero when
- * either overhead exceeds its (deliberately generous, host-noise
- * tolerant) bound.
+ * Both overheads are gated by a deliberately generous, host-noise
+ * tolerant bound on Release host time.
  */
-
-#include <chrono>
-#include <cstdio>
-#include <cstring>
 
 #include "bench_util.h"
 #include "isa/assembler.h"
@@ -45,14 +40,6 @@ benchProgram()
     return prog;
 }
 
-double
-secondsSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
-
 /** Host-driven getpid dispatches per second at @p ring_depth. */
 double
 dispatchRate(u64 ring_depth)
@@ -67,10 +54,10 @@ dispatchRate(u64 ring_depth)
     // Warm-up, then the timed loop.
     for (int i = 0; i < 1000; ++i)
         sysInvoke(kern, *p, SysNum::Getpid, {});
-    auto t0 = std::chrono::steady_clock::now();
+    auto t0 = bench::Clock::now();
     for (int i = 0; i < kDispatchReps; ++i)
         sysInvoke(kern, *p, SysNum::Getpid, {});
-    double sec = secondsSince(t0);
+    double sec = bench::secondsSince(t0);
     return sec > 0 ? kDispatchReps / sec : 0;
 }
 
@@ -114,10 +101,10 @@ watchdogScanNs()
         kern.hardeningStats().deadlocksKilled != 0)
         return -1; // wakeable parks must never trip the watchdog
 
-    auto t0 = std::chrono::steady_clock::now();
+    auto t0 = bench::Clock::now();
     for (int i = 0; i < kScanReps; ++i)
         kern.runUntilIdle(); // nothing runnable: idle pass + one scan
-    double sec = secondsSince(t0);
+    double sec = bench::secondsSince(t0);
     if (kern.hardeningStats().deadlocksDetected != 0)
         return -1;
     return sec * 1e9 / kScanReps;
@@ -128,84 +115,34 @@ watchdogScanNs()
 int
 main(int argc, char **argv)
 {
-    bool json = false;
-    bool check = false;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--json"))
-            json = true;
-        else if (!std::strcmp(argv[i], "--check"))
-            check = true;
-    }
-
+    bench::Report rep("hardening_bench",
+                      "Hardening: flight-recorder and watchdog cost", argc,
+                      argv);
     double rateOn = dispatchRate(64);
     double rateOff = dispatchRate(0);
     double overheadPct =
         rateOff > 0 ? (rateOff - rateOn) * 100.0 / rateOff : 100.0;
     double scanNs = watchdogScanNs();
 
-    if (json) {
-        std::printf("{\n"
-                    "  \"schema\": \"cheri.hardening_bench.v1\",\n"
-                    "  \"dispatch_per_sec_ring_on\": %.0f,\n"
-                    "  \"dispatch_per_sec_ring_off\": %.0f,\n"
-                    "  \"ring_overhead_pct\": %.1f,\n"
-                    "  \"blocked_contexts\": %llu,\n"
-                    "  \"watchdog_scan_ns\": %.0f\n"
-                    "}\n",
-                    rateOn, rateOff, overheadPct,
-                    static_cast<unsigned long long>(kBlockedContexts),
-                    scanNs);
-    } else {
-        bench::banner("Hardening: flight-recorder and watchdog cost");
-        std::printf("%-40s %14.0f\n", "dispatches/sec, ring depth 64",
-                    rateOn);
-        std::printf("%-40s %14.0f\n", "dispatches/sec, ring off",
-                    rateOff);
-        std::printf("%-40s %13.1f%%\n", "ring recording overhead",
-                    overheadPct);
-        std::printf("%-40s %14.0f\n",
-                    "watchdog scan ns (32 blocked ctxs)", scanNs);
-    }
+    rep.metric("dispatch_per_sec_ring_on", "dispatches/sec, ring depth 64",
+               rateOn);
+    rep.metric("dispatch_per_sec_ring_off", "dispatches/sec, ring off",
+               rateOff);
+    rep.metric("ring_overhead_pct", "ring recording overhead (%)",
+               overheadPct);
+    rep.metric("blocked_contexts", "blocked contexts in the scan",
+               kBlockedContexts);
+    rep.metric("watchdog_scan_ns", "watchdog scan (ns)", scanNs);
 
-    if (check) {
-        bool ok = true;
-        if (rateOn <= 0 || rateOff <= 0) {
-            std::fprintf(stderr, "CHECK FAIL: dispatch bench setup "
-                                 "failed\n");
-            ok = false;
-        }
-        // The ring is a fixed-size array append behind one branch; the
-        // bound is generous to tolerate host noise, but a copying or
-        // allocating implementation would blow straight through it.
-        if (overheadPct > 40.0) {
-            std::fprintf(stderr,
-                         "CHECK FAIL: ring recording overhead %.1f%% > "
-                         "40%%\n",
-                         overheadPct);
-            ok = false;
-        }
-        if (scanNs < 0) {
-            std::fprintf(stderr, "CHECK FAIL: watchdog scan bench "
-                                 "setup failed (or a wakeable park "
-                                 "tripped the watchdog)\n");
-            ok = false;
-        }
-        // Fixpoint over 32 contexts consulting the process table and
-        // FD tables: anything near a millisecond means the scan went
-        // quadratic-with-a-large-constant or started allocating per
-        // edge.
-        if (scanNs > 1e6) {
-            std::fprintf(stderr,
-                         "CHECK FAIL: watchdog scan %.0f ns > 1ms for "
-                         "%llu blocked contexts\n",
-                         scanNs,
-                         static_cast<unsigned long long>(
-                             kBlockedContexts));
-            ok = false;
-        }
-        if (!ok)
-            return 1;
-        std::printf("CHECK OK\n");
-    }
-    return 0;
+    // A failed setup, or a wakeable park that tripped the watchdog.
+    rep.require("setup_ok", rateOn > 0 && rateOff > 0 && scanNs >= 0);
+    // The ring is a fixed-size array append behind one branch; the
+    // bound is generous to tolerate host noise, but a copying or
+    // allocating implementation would blow straight through it.
+    rep.atMost("ring_overhead_pct", overheadPct, 40.0);
+    // Fixpoint over 32 contexts consulting the process table and FD
+    // tables: anything near a millisecond means the scan went
+    // quadratic-with-a-large-constant or started allocating per edge.
+    rep.atMost("watchdog_scan_ns", scanNs, 1e6);
+    return rep.finish();
 }

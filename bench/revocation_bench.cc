@@ -12,15 +12,15 @@
  *  - incremental: revoke2(INCREMENTAL) + polls — same page set, but
  *                 amortized a bounded slice per call.
  *
- * --json emits machine-readable results; --check exits nonzero unless
- * (a) the cap-dirty sweep visits at least 5x fewer granules than the
- * full scan (the workload keeps under 20% of pages dirty), (b) every
- * incremental slice stays within the configured page budget and the
- * epoch still closes, and (c) all three strategies revoke exactly the
- * planted capabilities.
+ * The gates, per arena size: (a) the cap-dirty sweep visits at least
+ * 5x fewer granules than the full scan (the workload keeps under 20%
+ * of pages dirty) and skips clean pages, (b) every incremental slice
+ * stays within the configured page budget, the run takes several
+ * slices, and every epoch closes, and (c) all three strategies revoke
+ * exactly the planted capabilities.
  *
  * The tag-preserving-swap ablation from the original bench is kept at
- * the end (human-readable output only).
+ * the end.
  */
 
 #include <cstring>
@@ -29,7 +29,6 @@
 
 #include "bench_util.h"
 #include "libc/revoke.h"
-#include "obs/json.h"
 #include "os/kernel.h"
 
 using namespace cheri;
@@ -138,9 +137,13 @@ runMode(const char *mode, u64 arena_pages, u64 dirty_every,
 }
 
 void
-swapAblation()
+swapAblation(bench::Report &rep)
 {
-    bench::banner("Ablation: tag-preserving swap vs naive swap");
+    bench::Report::Table &t =
+        rep.table("swap_ablation",
+                  "Ablation: tag-preserving swap vs naive swap (list "
+                  "nodes reachable of 256)",
+                  {"policy", "nodes_reachable"});
     for (SwapPolicy policy :
          {SwapPolicy::PreserveTags, SwapPolicy::Naive}) {
         KernelConfig cfg;
@@ -170,13 +173,10 @@ swapAblation()
             }
         } catch (const CapTrap &) {
         }
-        std::printf("%-14s list nodes reachable after swap: %lu / 256%s\n",
-                    policy == SwapPolicy::PreserveTags ? "preserve-tags"
-                                                       : "naive",
-                    static_cast<unsigned long>(reachable),
-                    policy == SwapPolicy::PreserveTags
-                        ? ""
-                        : "   <- every swapped pointer died");
+        t.row({std::string(policy == SwapPolicy::PreserveTags
+                               ? "preserve-tags"
+                               : "naive"),
+               reachable});
     }
 }
 
@@ -185,18 +185,12 @@ swapAblation()
 int
 main(int argc, char **argv)
 {
-    bool json = false;
-    bool check = false;
-    u64 slice_budget = 8;
+    bench::Report rep(
+        "revocation_bench",
+        "Revocation ablation: full vs cap-dirty vs incremental", argc,
+        argv);
+    u64 slice_budget = rep.option("--slice-budget", 8);
     u64 dirty_every = 8; // 12.5% of arena pages take cap stores
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--json"))
-            json = true;
-        else if (!std::strcmp(argv[i], "--check"))
-            check = true;
-        else if (!std::strcmp(argv[i], "--slice-budget") && i + 1 < argc)
-            slice_budget = std::strtoull(argv[++i], nullptr, 0);
-    }
 
     constexpr const char *modes[] = {"full", "capdirty", "incremental"};
     std::vector<ModeResult> results;
@@ -206,104 +200,57 @@ main(int argc, char **argv)
                 runMode(mode, arena, dirty_every, slice_budget));
     }
 
-    if (json) {
-        obs::JsonWriter w;
-        w.beginObject();
-        w.key("schema").value(
-            std::string_view("cheri.revocation_bench.v1"));
-        w.key("slice_budget").value(slice_budget);
-        w.key("dirty_every").value(dirty_every);
-        w.key("runs").beginArray();
-        for (const ModeResult &r : results) {
-            w.beginObject();
-            w.key("mode").value(std::string_view(r.mode));
-            w.key("arena_pages").value(r.arenaPages);
-            w.key("dirty_pages").value(r.dirtyPages);
-            w.key("content_pages").value(r.contentPages);
-            w.key("pages_scanned").value(r.pagesScanned);
-            w.key("pages_skipped_clean").value(r.pagesSkippedClean);
-            w.key("granules_visited").value(r.granulesVisited);
-            w.key("tags_revoked").value(r.tagsRevoked);
-            w.key("cycles").value(r.cycles);
-            w.key("slices").value(r.slices);
-            w.key("max_slice_pages").value(r.maxSlicePages);
-            w.key("closed").value(r.closed);
-            w.endObject();
-        }
-        w.endArray();
-        w.endObject();
-        std::printf("%s\n", w.str().c_str());
-    } else {
-        bench::banner(
-            "Revocation ablation: full vs cap-dirty vs incremental");
-        std::printf("%6s %-12s %8s %8s %9s %10s %8s %7s %6s\n", "arena",
-                    "mode", "scanned", "skipped", "granules", "cycles",
-                    "revoked", "slices", "max/sl");
-        for (const ModeResult &r : results) {
-            std::printf("%6lu %-12s %8lu %8lu %9lu %10lu %8lu %7lu %6lu\n",
-                        static_cast<unsigned long>(r.arenaPages),
-                        r.mode.c_str(),
-                        static_cast<unsigned long>(r.pagesScanned),
-                        static_cast<unsigned long>(r.pagesSkippedClean),
-                        static_cast<unsigned long>(r.granulesVisited),
-                        static_cast<unsigned long>(r.cycles),
-                        static_cast<unsigned long>(r.tagsRevoked),
-                        static_cast<unsigned long>(r.slices),
-                        static_cast<unsigned long>(r.maxSlicePages));
-        }
-        bench::note(
-            "\nShape: full scans every content page; cap-dirty pays "
-            "only for\npages that ever took a capability store (the "
-            "sticky PTE bit);\nincremental covers the same pages a "
-            "bounded slice per call, so\nno single dispatch stalls on "
-            "the whole sweep.");
-        swapAblation();
+    rep.metric("slice_budget", "incremental slice budget (pages)",
+               slice_budget);
+    rep.metric("dirty_every", "one cap-dirty page in every", dirty_every);
+    bench::Report::Table &runs = rep.table(
+        "runs", "Sweeps per arena size and strategy",
+        {"mode", "arena_pages", "dirty_pages", "content_pages",
+         "pages_scanned", "pages_skipped_clean", "granules_visited",
+         "tags_revoked", "cycles", "slices", "max_slice_pages", "closed"});
+    for (const ModeResult &r : results) {
+        runs.row({r.mode, r.arenaPages, r.dirtyPages, r.contentPages,
+                  r.pagesScanned, r.pagesSkippedClean, r.granulesVisited,
+                  r.tagsRevoked, r.cycles, r.slices, r.maxSlicePages,
+                  r.closed});
     }
+    rep.note("Shape: full scans every content page; cap-dirty pays only "
+             "for\npages that ever took a capability store (the sticky "
+             "PTE bit);\nincremental covers the same pages a bounded "
+             "slice per call, so\nno single dispatch stalls on the "
+             "whole sweep.");
+    swapAblation(rep);
 
-    if (!check)
-        return 0;
-    int failures = 0;
-    auto expect = [&](bool ok, const char *what, const ModeResult &r) {
-        if (ok)
-            return;
-        ++failures;
-        std::fprintf(stderr,
-                     "revocation_bench: CHECK FAILED: %s (mode %s, "
-                     "arena %lu)\n",
-                     what, r.mode.c_str(),
-                     static_cast<unsigned long>(r.arenaPages));
-    };
     for (size_t i = 0; i < results.size(); i += 3) {
         const ModeResult &full = results[i];
         const ModeResult &dirty = results[i + 1];
         const ModeResult &incr = results[i + 2];
-        expect(full.closed && dirty.closed && incr.closed,
-               "every strategy must close its epoch", full);
+        std::string arena = "arena" + std::to_string(full.arenaPages) + ".";
+        rep.require(arena + "epochs_closed",
+                    full.closed && dirty.closed && incr.closed);
         // The headline claim: with <20% of pages cap-dirty, skipping
         // provably-clean pages saves >=5x of the granule traffic.
-        expect(full.granulesVisited >= 5 * dirty.granulesVisited &&
-                   dirty.granulesVisited > 0,
-               "cap-dirty sweep must visit >=5x fewer granules", dirty);
-        expect(dirty.pagesSkippedClean > 0,
-               "cap-dirty sweep must skip clean pages", dirty);
+        rep.atLeast(arena + "capdirty_granule_saving",
+                    dirty.granulesVisited
+                        ? static_cast<double>(full.granulesVisited) /
+                              static_cast<double>(dirty.granulesVisited)
+                        : 0.0,
+                    5.0);
+        rep.atLeast(arena + "capdirty_pages_skipped",
+                    dirty.pagesSkippedClean, 1);
         // Soundness: all three strategies revoke exactly the planted
         // capabilities (one per dirty arena page).
-        expect(full.tagsRevoked == full.dirtyPages,
-               "full scan must revoke exactly the planted caps", full);
-        expect(dirty.tagsRevoked == full.tagsRevoked,
-               "cap-dirty sweep must revoke what the full scan does",
-               dirty);
-        expect(incr.tagsRevoked == full.tagsRevoked,
-               "incremental sweep must revoke what the full scan does",
-               incr);
+        rep.require(arena + "full_revokes_planted",
+                    full.tagsRevoked == full.dirtyPages);
+        rep.require(arena + "capdirty_revokes_as_full",
+                    dirty.tagsRevoked == full.tagsRevoked);
+        rep.require(arena + "incremental_revokes_as_full",
+                    incr.tagsRevoked == full.tagsRevoked);
         // The amortization bound: no single call scans more than the
         // configured budget.
-        expect(incr.maxSlicePages <= incr.sliceBudget,
-               "incremental slice exceeded its page budget", incr);
-        expect(incr.slices > 1,
-               "incremental run must take multiple slices", incr);
+        rep.atMost(arena + "incremental_max_slice_pages",
+                   incr.maxSlicePages, incr.sliceBudget);
+        rep.atLeast(arena + "incremental_slices", incr.slices, 2);
     }
-    if (failures == 0)
-        std::printf("revocation_bench: all checks passed\n");
-    return failures == 0 ? 0 : 1;
+    return rep.finish();
 }

@@ -21,14 +21,10 @@
  *    which should be flat — the engine serializes slices, so adding
  *    runnable processes must not collapse per-step cost.
  *
- * --json emits machine-readable results; --check exits nonzero unless
- * the scheduler clears a 3x throughput floor over the re-create
- * pattern, switch cost stays bounded, and scaling stays flat.
+ * The gates: the scheduler clears a 3x throughput floor over the
+ * re-create pattern, switch cost stays bounded, and scaling stays
+ * flat.
  */
-
-#include <chrono>
-#include <cstdio>
-#include <cstring>
 
 #include "bench_util.h"
 #include "isa/assembler.h"
@@ -41,7 +37,7 @@ using namespace cheri;
 namespace
 {
 
-using Clock = std::chrono::steady_clock;
+using bench::Clock;
 
 /** Loop iterations per guest program. */
 constexpr u64 kLoops = 4000;
@@ -185,15 +181,10 @@ switchCostNs()
 int
 main(int argc, char **argv)
 {
-    bool json = false;
-    bool check = false;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--json"))
-            json = true;
-        else if (!std::strcmp(argv[i], "--check"))
-            check = true;
-    }
-
+    bench::Report rep("sched_bench",
+                      "Scheduler: persistent contexts vs per-chunk "
+                      "interpreter re-creation",
+                      argc, argv);
     SchedStats multi;
     double schedMulti = runScheduled(4, &multi);
     double recreate = runRecreated(4);
@@ -202,73 +193,24 @@ main(int argc, char **argv)
     double scaling = schedSingle > 0 ? schedMulti / schedSingle : 0;
     double switchNs = switchCostNs();
 
-    if (json) {
-        std::printf("{\n"
-                    "  \"schema\": \"cheri.sched_bench.v1\",\n"
-                    "  \"slice_steps\": %llu,\n"
-                    "  \"guests\": 4,\n"
-                    "  \"sched_steps_per_sec\": %.0f,\n"
-                    "  \"recreate_steps_per_sec\": %.0f,\n"
-                    "  \"throughput_ratio\": %.2f,\n"
-                    "  \"single_proc_steps_per_sec\": %.0f,\n"
-                    "  \"scaling_vs_single\": %.2f,\n"
-                    "  \"context_switches\": %llu,\n"
-                    "  \"preemptions\": %llu,\n"
-                    "  \"switch_cost_ns\": %.0f\n"
-                    "}\n",
-                    static_cast<unsigned long long>(kSlice), schedMulti,
-                    recreate, ratio, schedSingle, scaling,
-                    static_cast<unsigned long long>(multi.contextSwitches),
-                    static_cast<unsigned long long>(multi.preemptions),
-                    switchNs);
-    } else {
-        bench::banner("Scheduler: persistent contexts vs per-chunk "
-                      "interpreter re-creation");
-        std::printf("%-38s %14s\n", "configuration", "steps/sec");
-        std::printf("%-38s %14.0f\n",
-                    "4 guests, scheduler (warm caches)", schedMulti);
-        std::printf("%-38s %14.0f\n",
-                    "4 guests, re-created per chunk", recreate);
-        std::printf("%-38s %14.0f\n", "1 guest, scheduler", schedSingle);
-        std::printf("\nthroughput ratio (sched / re-create): %.2fx\n",
-                    ratio);
-        std::printf("scaling vs single process:            %.2fx\n",
-                    scaling);
-        std::printf("context switches: %llu   preemptions: %llu   "
-                    "switch cost: %.0f ns\n",
-                    static_cast<unsigned long long>(multi.contextSwitches),
-                    static_cast<unsigned long long>(multi.preemptions),
-                    switchNs);
-    }
+    rep.metric("slice_steps", "time slice (steps)", kSlice);
+    rep.metric("guests", "guests", u64{4});
+    rep.metric("sched_steps_per_sec", "4 guests, scheduler: steps/sec",
+               schedMulti);
+    rep.metric("recreate_steps_per_sec",
+               "4 guests, re-created per chunk: steps/sec", recreate);
+    rep.metric("throughput_ratio", "throughput ratio (sched / re-create)",
+               ratio);
+    rep.metric("single_proc_steps_per_sec", "1 guest, scheduler: steps/sec",
+               schedSingle);
+    rep.metric("scaling_vs_single", "scaling vs single process", scaling);
+    rep.metric("context_switches", "context switches",
+               multi.contextSwitches);
+    rep.metric("preemptions", "preemptions", multi.preemptions);
+    rep.metric("switch_cost_ns", "switch cost (ns)", switchNs);
 
-    if (check) {
-        bool ok = true;
-        if (ratio < 3.0) {
-            std::fprintf(stderr,
-                         "CHECK FAIL: scheduler/recreate throughput "
-                         "ratio %.2f < 3.0\n",
-                         ratio);
-            ok = false;
-        }
-        if (scaling < 0.5) {
-            std::fprintf(stderr,
-                         "CHECK FAIL: 4-process scaling %.2f < 0.5 of "
-                         "single-process throughput\n",
-                         scaling);
-            ok = false;
-        }
-        if (switchNs > 50000) {
-            std::fprintf(stderr,
-                         "CHECK FAIL: context-switch cost %.0f ns > "
-                         "50000 ns\n",
-                         switchNs);
-            ok = false;
-        }
-        if (!ok)
-            return 1;
-        std::printf("CHECK OK: ratio %.2fx >= 3.0, scaling %.2fx >= "
-                    "0.5, switch cost %.0f ns <= 50000\n",
-                    ratio, scaling, switchNs);
-    }
-    return 0;
+    rep.atLeast("throughput_ratio", ratio, 3.0);
+    rep.atLeast("scaling_vs_single", scaling, 0.5);
+    rep.atMost("switch_cost_ns", switchNs, 50000);
+    return rep.finish();
 }

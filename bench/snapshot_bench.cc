@@ -17,13 +17,10 @@
  * Image fidelity is gated in every mode: the run fails unless every
  * re-save is byte-identical to the first image and saving the kernel
  * restored from that image reproduces it byte for byte.  Throughput is
- * not gated (wall-clock depends on the host).  --json emits
- * machine-readable results.
+ * not gated (wall-clock depends on the host).
  */
 
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -88,25 +85,13 @@ populate(Kernel &kern)
     return true;
 }
 
-double
-secondsSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    bool json = false;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--json"))
-            json = true;
-    }
-
+    bench::Report rep("snapshot_bench",
+                      "Snapshot: checkpoint/restore throughput", argc, argv);
     Kernel kern;
     if (!populate(kern)) {
         std::fprintf(stderr, "snapshot_bench: setup failed\n");
@@ -121,13 +106,13 @@ main(int argc, char **argv)
         return 1;
     }
 
-    int resavesDiffering = 0;
-    auto t0 = std::chrono::steady_clock::now();
+    u64 resavesDiffering = 0;
+    auto t0 = bench::Clock::now();
     for (int i = 0; i < kReps; ++i)
         resavesDiffering += snap::save(kern, &err) != image;
-    double saveSec = secondsSince(t0);
+    double saveSec = bench::secondsSince(t0);
 
-    t0 = std::chrono::steady_clock::now();
+    t0 = bench::Clock::now();
     for (int i = 0; i < kReps; ++i) {
         if (!snap::restore(kern, image, &err)) {
             std::fprintf(stderr, "snapshot_bench: restore failed: %s\n",
@@ -135,42 +120,22 @@ main(int argc, char **argv)
             return 1;
         }
     }
-    double restoreSec = secondsSince(t0);
-
-    if (resavesDiffering != 0) {
-        std::fprintf(stderr,
-                     "snapshot_bench: %d of %d re-saves differ from the "
-                     "first image\n",
-                     resavesDiffering, kReps);
-        return 1;
-    }
-    if (snap::save(kern, &err) != image) {
-        std::fprintf(stderr, "snapshot_bench: save(restore(image)) differs "
-                             "from image\n");
-        return 1;
-    }
+    double restoreSec = bench::secondsSince(t0);
 
     double mb = static_cast<double>(image.size()) / (1024.0 * 1024.0);
-    double saveMbs = mb * kReps / saveSec;
-    double restoreMbs = mb * kReps / restoreSec;
+    rep.metric("procs", "processes", kProcs);
+    rep.metric("pages_per_proc", "resident pages per process",
+               kPagesPerProc);
+    rep.metric("image_bytes", "image size (bytes)", u64{image.size()});
+    rep.metric("reps", "repetitions", u64{kReps});
+    rep.metric("save_mb_per_s", "save (MB/s)", mb * kReps / saveSec);
+    rep.metric("restore_mb_per_s", "restore (MB/s)",
+               mb * kReps / restoreSec);
 
-    if (json) {
-        std::printf("{\"bench\":\"snapshot\",\"procs\":%llu,"
-                    "\"pagesPerProc\":%llu,\"imageBytes\":%zu,"
-                    "\"reps\":%d,\"saveMBps\":%.1f,"
-                    "\"restoreMBps\":%.1f}\n",
-                    (unsigned long long)kProcs,
-                    (unsigned long long)kPagesPerProc, image.size(),
-                    kReps, saveMbs, restoreMbs);
-        return 0;
-    }
-
-    bench::banner("Snapshot: checkpoint/restore throughput");
-    bench::note("workload: " + std::to_string(kProcs) + " processes x " +
-                std::to_string(kPagesPerProc) + " resident pages");
-    std::printf("image size    %10zu bytes\n", image.size());
-    std::printf("save          %10.1f MB/s  (%d reps)\n", saveMbs, kReps);
-    std::printf("restore       %10.1f MB/s  (%d reps)\n", restoreMbs,
-                kReps);
-    return 0;
+    using bench::Report;
+    rep.atMost("resaves_differing", resavesDiffering, 0,
+               Report::Enforce::Always);
+    rep.require("restore_roundtrip_identical",
+                snap::save(kern, &err) == image, Report::Enforce::Always);
+    return rep.finish();
 }

@@ -11,12 +11,11 @@
  *
  * Every call enters the kernel through the numbered syscall ABI
  * (Kernel::dispatch), so one shared Metrics registry accumulates
- * per-syscall call counts and cycle histograms split by ABI; the run
- * ends by emitting the registry as structured JSON.
+ * per-syscall call counts and cycle histograms split by ABI; the JSON
+ * report embeds that registry under "registry".
  */
 
 #include <cstdint>
-#include <cstring>
 #include <functional>
 
 #include "bench_util.h"
@@ -68,7 +67,9 @@ guestPipe(GuestContext &ctx, GuestMalloc &heap, int fds[2])
 int
 main(int argc, char **argv)
 {
-    bool json_only = argc > 1 && std::strcmp(argv[1], "--json") == 0;
+    bench::Report rep("syscall_micro",
+                      "System-call micro-benchmarks (simulated cycles/call)",
+                      argc, argv);
     const u64 iters = 400;
     std::vector<MicroBench> benches;
 
@@ -173,36 +174,20 @@ main(int argc, char **argv)
     }});
 
     obs::Metrics metrics;
-    std::vector<std::array<u64, 2>> cycles(benches.size());
-    for (size_t i = 0; i < benches.size(); ++i) {
-        cycles[i][0] = measure(benches[i], Abi::Mips64, iters, &metrics);
-        cycles[i][1] = measure(benches[i], Abi::CheriAbi, iters, &metrics);
-    }
-
-    if (json_only) {
-        std::printf("%s\n", metrics.toJson().c_str());
-        return 0;
-    }
-
-    bench::banner("System-call micro-benchmarks (simulated cycles/call)");
-    std::printf("%-16s %12s %12s %9s\n", "syscall", "mips64", "cheriabi",
-                "delta");
-    for (size_t i = 0; i < benches.size(); ++i) {
-        u64 m = cycles[i][0];
-        u64 c = cycles[i][1];
+    bench::Report::Table &t =
+        rep.table("syscalls", "Simulated cycles per call",
+                  {"syscall", "mips64", "cheriabi", "delta_pct"});
+    for (const MicroBench &mb : benches) {
+        u64 m = measure(mb, Abi::Mips64, iters, &metrics);
+        u64 c = measure(mb, Abi::CheriAbi, iters, &metrics);
         double pct = m ? (static_cast<double>(c) - static_cast<double>(m)) /
                              static_cast<double>(m) * 100.0
                        : 0.0;
-        std::printf("%-16s %12lu %12lu %+8.1f%%\n",
-                    benches[i].name.c_str(),
-                    static_cast<unsigned long>(m),
-                    static_cast<unsigned long>(c), pct);
+        t.row({mb.name, m, c, pct});
     }
-    bench::note("\nPaper (section 5.2): from +3.4% (fork, worst case) "
-                "to -9.8% (select,\nbest case: four pointer arguments "
-                "the legacy kernel must wrap in\ncapabilities).");
-
-    bench::banner("Per-syscall metrics (JSON, cheri.metrics.v9)");
-    std::printf("%s\n", metrics.toJson().c_str());
-    return 0;
+    rep.note("Paper (section 5.2): from +3.4% (fork, worst case) to -9.8% "
+             "(select,\nbest case: four pointer arguments the legacy "
+             "kernel must wrap in\ncapabilities).");
+    rep.document("registry", metrics.toJson());
+    return rep.finish();
 }

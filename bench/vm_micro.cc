@@ -8,16 +8,16 @@
  * execution: sequential, random, and strided 8-byte reads over a
  * prefaulted region, page-chunked string copyin, and fork/COW churn.
  *
- * Every workload checksums through both paths and aborts on mismatch,
- * so the speedup numbers are only reported for equivalent semantics.
- * With --json the results are machine-readable; --check exits nonzero
- * unless the sequential fast path clears a 1.5x floor (the acceptance
- * gate; typical speedups are far higher).
+ * Every workload checksums through both paths, and a mismatch or a
+ * fault fails the run in every mode, so the speedup numbers are only
+ * reported for equivalent semantics.  The --check gates: the
+ * sequential fast path clears a 1.5x floor (typical speedups are far
+ * higher), and the constrained-memory phase completes within its
+ * frame and slot budgets.
  */
 
-#include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,7 +32,7 @@ using namespace cheri;
 namespace
 {
 
-using Clock = std::chrono::steady_clock;
+using bench::Clock;
 
 constexpr u64 kRegionBytes = 4u << 20; // 4 MiB, prefaulted
 constexpr u64 kWordsPerPass = kRegionBytes / 8;
@@ -42,6 +42,8 @@ struct PatternResult
     std::string name;
     double walkMiBs = 0;
     double tlbMiBs = 0;
+    /** Both paths read without a fault and agreed. */
+    bool agree = false;
     double speedup() const { return walkMiBs > 0 ? tlbMiBs / walkMiBs : 0; }
 };
 
@@ -53,16 +55,17 @@ mibPerSec(u64 bytes, Clock::duration d)
 }
 
 /** One 8-byte read per offset through either path; returns a checksum
- *  the caller compares across paths (and which defeats the optimizer). */
+ *  the caller compares across paths (and which defeats the optimizer),
+ *  or nothing if a read of the prefaulted region faulted. */
 template <typename ReadFn>
-u64
+std::optional<u64>
 sweep(const std::vector<u64> &offsets, u64 base, ReadFn &&rd)
 {
     u64 sum = 0;
     for (u64 off : offsets) {
         u64 v = 0;
         if (rd(base + off, &v, 8))
-            std::abort(); // prefaulted region: a fault is a bench bug
+            return std::nullopt;
         sum += v;
     }
     return sum;
@@ -77,22 +80,16 @@ runPattern(const std::string &name, AddressSpace &as, MemAccess &mem,
     u64 bytes = offsets.size() * 8;
 
     auto t0 = Clock::now();
-    u64 walk_sum = sweep(offsets, base, [&](u64 va, void *buf, u64 len) {
+    auto walk_sum = sweep(offsets, base, [&](u64 va, void *buf, u64 len) {
         return as.readBytes(va, buf, len).has_value();
     });
     auto t1 = Clock::now();
-    u64 tlb_sum = sweep(offsets, base, [&](u64 va, void *buf, u64 len) {
+    auto tlb_sum = sweep(offsets, base, [&](u64 va, void *buf, u64 len) {
         return mem.read(va, buf, len).has_value();
     });
     auto t2 = Clock::now();
 
-    if (walk_sum != tlb_sum) {
-        std::fprintf(stderr, "%s: path divergence (%llx vs %llx)\n",
-                     name.c_str(),
-                     static_cast<unsigned long long>(walk_sum),
-                     static_cast<unsigned long long>(tlb_sum));
-        std::exit(2);
-    }
+    r.agree = walk_sum && walk_sum == tlb_sum;
     r.walkMiBs = mibPerSec(bytes, t1 - t0);
     r.tlbMiBs = mibPerSec(bytes, t2 - t1);
     return r;
@@ -113,7 +110,7 @@ runCopyinstr(AddressSpace &as, MemAccess &mem, u64 base)
     const u64 str_len = 2 * pageSize - 64;
     std::string s(str_len, 'a');
     if (mem.write(base, s.c_str(), s.size() + 1))
-        std::abort();
+        return r;
 
     const int iters = 400;
     // Legacy shape: one readBytes per byte until the NUL (what the
@@ -125,7 +122,7 @@ runCopyinstr(AddressSpace &as, MemAccess &mem, u64 base)
         for (;;) {
             char c = 0;
             if (as.readBytes(base + legacy_len, &c, 1).has_value())
-                std::abort();
+                return r;
             if (c == '\0')
                 break;
             ++legacy_len;
@@ -137,21 +134,21 @@ runCopyinstr(AddressSpace &as, MemAccess &mem, u64 base)
     for (int i = 0; i < iters; ++i) {
         if (mem.readString(base, &out, str_len + 1, nullptr) !=
             MemAccess::StrRead::Ok)
-            std::abort();
+            return r;
         chunked_len = out.size();
     }
     auto t2 = Clock::now();
 
-    if (legacy_len != chunked_len || chunked_len != str_len)
-        std::exit(2);
+    r.agree = legacy_len == chunked_len && chunked_len == str_len;
     r.walkMiBs = mibPerSec(u64{iters} * (str_len + 1), t1 - t0);
     r.tlbMiBs = mibPerSec(u64{iters} * (str_len + 1), t2 - t1);
     return r;
 }
 
 /** fork/COW churn: forkCopy, dirty half the parent's pages through the
- *  TLB path, verify the child still sees the original bytes. */
-double
+ *  TLB path, verify the child still sees the original bytes.  Returns
+ *  ms per iteration, or nothing on a fault or a COW leak. */
+std::optional<double>
 runForkChurn(PhysMem &phys, SwapDevice &swap)
 {
     AddressSpace as(phys, swap, 100);
@@ -162,7 +159,7 @@ runForkChurn(PhysMem &phys, SwapDevice &swap)
     for (u64 p = 0; p < pages; ++p) {
         u64 v = p;
         if (mem.write(base + p * pageSize, &v, 8))
-            std::abort();
+            return std::nullopt;
     }
 
     const int iters = 50;
@@ -173,25 +170,21 @@ runForkChurn(PhysMem &phys, SwapDevice &swap)
         for (u64 p = 0; p < pages; p += 2) {
             u64 v = (u64{0xF00D} << 16) | p;
             if (mem.write(base + p * pageSize, &v, 8))
-                std::abort();
+                return std::nullopt;
         }
         for (u64 p = 1; p < pages; p += 2) {
             u64 got = 0;
-            if (child_mem.read(base + p * pageSize, &got, 8))
-                std::abort();
-            if (got != p)
-                std::exit(2); // COW leak: child saw a parent store
+            if (child_mem.read(base + p * pageSize, &got, 8) || got != p)
+                return std::nullopt; // a fault, or the COW leaked
         }
         // Restore the parent's pattern for the next round.
         for (u64 p = 0; p < pages; p += 2) {
             u64 v = p;
             if (mem.write(base + p * pageSize, &v, 8))
-                std::abort();
+                return std::nullopt;
         }
     }
-    auto t1 = Clock::now();
-    return std::chrono::duration<double>(t1 - t0).count() * 1000.0 /
-           iters;
+    return bench::secondsSince(t0) * 1000.0 / iters;
 }
 
 /** Constrained-memory phase: drive a working set several times larger
@@ -274,20 +267,11 @@ runPressure(u64 frame_budget, u64 slot_budget)
 int
 main(int argc, char **argv)
 {
-    bool json = false;
-    bool check = false;
-    u64 frame_budget = 64;
-    u64 slot_budget = 256;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--json"))
-            json = true;
-        else if (!std::strcmp(argv[i], "--check"))
-            check = true;
-        else if (!std::strcmp(argv[i], "--frames") && i + 1 < argc)
-            frame_budget = std::strtoull(argv[++i], nullptr, 0);
-        else if (!std::strcmp(argv[i], "--slots") && i + 1 < argc)
-            slot_budget = std::strtoull(argv[++i], nullptr, 0);
-    }
+    bench::Report rep("vm_micro",
+                      "Guest-memory access paths: walk vs software TLB",
+                      argc, argv);
+    u64 frame_budget = rep.option("--frames", 64);
+    u64 slot_budget = rep.option("--slots", 256);
 
     PhysMem phys;
     SwapDevice swap;
@@ -299,8 +283,11 @@ main(int argc, char **argv)
     // state, not demand-zero service.
     for (u64 off = 0; off < kRegionBytes; off += 8) {
         u64 v = off * 2654435761u;
-        if (as.writeBytes(base + off, &v, 8).has_value())
-            std::abort();
+        if (as.writeBytes(base + off, &v, 8).has_value()) {
+            std::fprintf(stderr, "vm_micro: prefault failed at +%llu\n",
+                         static_cast<unsigned long long>(off));
+            return 1;
+        }
     }
 
     std::vector<u64> seq(kWordsPerPass);
@@ -323,96 +310,48 @@ main(int argc, char **argv)
     results.push_back(runPattern("random", as, mem, base, rnd));
     results.push_back(runPattern("strided", as, mem, base, strided));
     results.push_back(runCopyinstr(as, mem, base));
-    double fork_ms = runForkChurn(phys, swap);
+    std::optional<double> fork_ms = runForkChurn(phys, swap);
     PressureResult pr = runPressure(frame_budget, slot_budget);
-
     const MemAccess::Stats &st = mem.stats();
-    if (json) {
-        std::printf("{\n  \"schema\": \"cheri.vm_micro.v1\",\n");
-        std::printf("  \"region_bytes\": %llu,\n",
-                    static_cast<unsigned long long>(kRegionBytes));
-        std::printf("  \"patterns\": [\n");
-        for (size_t i = 0; i < results.size(); ++i) {
-            const PatternResult &r = results[i];
-            std::printf("    {\"name\": \"%s\", \"walk_mib_s\": %.1f, "
-                        "\"tlb_mib_s\": %.1f, \"speedup\": %.2f}%s\n",
-                        r.name.c_str(), r.walkMiBs, r.tlbMiBs,
-                        r.speedup(), i + 1 < results.size() ? "," : "");
-        }
-        std::printf("  ],\n");
-        std::printf("  \"fork_cow_churn_ms\": %.3f,\n", fork_ms);
-        std::printf("  \"pressure\": {\"frame_budget\": %llu, "
-                    "\"slot_budget\": %llu, \"pages\": %llu, "
-                    "\"max_live_frames\": %llu, \"max_used_slots\": "
-                    "%llu, \"reclaim_calls\": %llu, \"pages_evicted\": "
-                    "%llu, \"ms\": %.3f, \"completed\": %s},\n",
-                    static_cast<unsigned long long>(pr.frameBudget),
-                    static_cast<unsigned long long>(pr.slotBudget),
-                    static_cast<unsigned long long>(pr.pages),
-                    static_cast<unsigned long long>(pr.maxLiveFrames),
-                    static_cast<unsigned long long>(pr.maxUsedSlots),
-                    static_cast<unsigned long long>(pr.reclaimCalls),
-                    static_cast<unsigned long long>(pr.pagesEvicted),
-                    pr.ms, pr.completed ? "true" : "false");
-        std::printf("  \"tlb\": {\"data_hits\": %llu, \"data_misses\": "
-                    "%llu, \"invalidations\": %llu}\n}\n",
-                    static_cast<unsigned long long>(st.dataHits),
-                    static_cast<unsigned long long>(st.dataMisses),
-                    static_cast<unsigned long long>(st.invalidations));
-    } else {
-        bench::banner("Guest-memory access paths: walk vs software TLB");
-        bench::note("8-byte reads over a prefaulted 4 MiB region; the "
-                    "walk column is the");
-        bench::note("pre-refactor AddressSpace::readBytes path, the TLB "
-                    "column is MemAccess.");
-        std::printf("\n%-12s %14s %14s %10s\n", "pattern", "walk MiB/s",
-                    "TLB MiB/s", "speedup");
-        for (const PatternResult &r : results) {
-            std::printf("%-12s %14.1f %14.1f %9.2fx\n", r.name.c_str(),
-                        r.walkMiBs, r.tlbMiBs, r.speedup());
-        }
-        std::printf("\nfork/COW churn (64 pages, half dirtied): %.3f "
-                    "ms/iter\n",
-                    fork_ms);
-        std::printf("pressure: %llu pages through %llu frames / %llu "
-                    "slots in %.3f ms (%llu reclaims, %llu evictions, "
-                    "peak %llu frames / %llu slots)%s\n",
-                    static_cast<unsigned long long>(pr.pages),
-                    static_cast<unsigned long long>(pr.frameBudget),
-                    static_cast<unsigned long long>(pr.slotBudget),
-                    pr.ms,
-                    static_cast<unsigned long long>(pr.reclaimCalls),
-                    static_cast<unsigned long long>(pr.pagesEvicted),
-                    static_cast<unsigned long long>(pr.maxLiveFrames),
-                    static_cast<unsigned long long>(pr.maxUsedSlots),
-                    pr.completed ? "" : " [INCOMPLETE]");
-        std::printf("TLB: %llu data hits, %llu misses, %llu "
-                    "invalidations\n",
-                    static_cast<unsigned long long>(st.dataHits),
-                    static_cast<unsigned long long>(st.dataMisses),
-                    static_cast<unsigned long long>(st.invalidations));
-    }
 
-    if (check && results[0].speedup() < 1.5) {
-        std::fprintf(stderr,
-                     "FAIL: sequential TLB speedup %.2fx below 1.5x\n",
-                     results[0].speedup());
-        return 1;
-    }
-    if (check && !pr.completed) {
-        std::fprintf(stderr, "FAIL: constrained workload did not "
-                             "complete under reclaim\n");
-        return 1;
-    }
-    if (check && !pr.budgetsHeld()) {
-        std::fprintf(stderr,
-                     "FAIL: budgets breached (peak %llu/%llu frames, "
-                     "%llu/%llu slots)\n",
-                     static_cast<unsigned long long>(pr.maxLiveFrames),
-                     static_cast<unsigned long long>(pr.frameBudget),
-                     static_cast<unsigned long long>(pr.maxUsedSlots),
-                     static_cast<unsigned long long>(pr.slotBudget));
-        return 1;
-    }
-    return 0;
+    rep.metric("region_bytes", "prefaulted region (bytes)", kRegionBytes);
+    bench::Report::Table &t = rep.table(
+        "patterns",
+        "8-byte reads over the prefaulted region: walk is the reference "
+        "AddressSpace::readBytes path, tlb is MemAccess (MiB/s)",
+        {"name", "walk_mib_s", "tlb_mib_s", "speedup"});
+    for (const PatternResult &r : results)
+        t.row({r.name, r.walkMiBs, r.tlbMiBs, r.speedup()});
+    rep.metric("fork_cow_churn_ms",
+               "fork/COW churn, 64 pages half dirtied (ms/iter)",
+               fork_ms.value_or(0));
+    rep.metric("pressure_frame_budget", "pressure: frame budget",
+               pr.frameBudget);
+    rep.metric("pressure_slot_budget", "pressure: slot budget",
+               pr.slotBudget);
+    rep.metric("pressure_pages", "pressure: pages", pr.pages);
+    rep.metric("pressure_max_live_frames", "pressure: peak live frames",
+               pr.maxLiveFrames);
+    rep.metric("pressure_max_used_slots", "pressure: peak used slots",
+               pr.maxUsedSlots);
+    rep.metric("pressure_reclaim_calls", "pressure: reclaims",
+               pr.reclaimCalls);
+    rep.metric("pressure_pages_evicted", "pressure: evictions",
+               pr.pagesEvicted);
+    rep.metric("pressure_ms", "pressure: time (ms)", pr.ms);
+    rep.metric("pressure_completed", "pressure: completed", pr.completed);
+    rep.metric("tlb_data_hits", "TLB data hits", st.dataHits);
+    rep.metric("tlb_data_misses", "TLB data misses", st.dataMisses);
+    rep.metric("tlb_invalidations", "TLB invalidations", st.invalidations);
+
+    // Wrong results fail in every mode; the rest are --check gates.
+    for (const PatternResult &r : results)
+        rep.require(r.name + "_paths_agree", r.agree,
+                    bench::Report::Enforce::Always);
+    rep.require("fork_cow_isolated", fork_ms.has_value(),
+                bench::Report::Enforce::Always);
+    rep.atLeast("sequential_speedup", results[0].speedup(), 1.5);
+    rep.require("pressure_completed", pr.completed);
+    rep.require("pressure_budgets_held", pr.budgetsHeld());
+    return rep.finish();
 }

@@ -399,6 +399,86 @@ struct TapGuard
     ~TapGuard() { inj.setTap(nullptr); }
 };
 
+/** The kernel a case runs on, set up alike in both modes: the option
+ *  budgets, a metrics registry that outlives it, the panic snapshot
+ *  hook, then the replay session's fault tap. */
+struct CaseKernel
+{
+    obs::Metrics metrics;
+    Kernel kern;
+    TapGuard tap;
+
+    CaseKernel(const FuzzOptions &opts, u64 time_slice_steps = 0)
+        : kern(config(opts, time_slice_steps)),
+          tap(attach(kern, metrics), opts.replay)
+    {
+    }
+
+    static KernelConfig
+    config(const FuzzOptions &opts, u64 time_slice_steps)
+    {
+        KernelConfig cfg;
+        cfg.frameCapacity = opts.frameCapacity;
+        cfg.swapSlotBudget = opts.swapSlotBudget;
+        if (time_slice_steps)
+            cfg.timeSliceSteps = time_slice_steps;
+        return cfg;
+    }
+
+    static FaultInjector &
+    attach(Kernel &kern, obs::Metrics &metrics)
+    {
+        kern.setMetrics(&metrics);
+        snap::installPanicSnapshotHook(kern);
+        return kern.faultInjector();
+    }
+};
+
+/** Arm the five injected fault points (allocation, swap and memory
+ *  corruption) from the case seed. */
+void
+armInjection(FaultInjector &inj, u64 case_seed)
+{
+    inj.failRandomly(FaultPoint::FrameAlloc, 13, case_seed ^ 0x1111);
+    inj.failRandomly(FaultPoint::SwapOut, 7, case_seed ^ 0x2222);
+    inj.failRandomly(FaultPoint::SwapIn, 5, case_seed ^ 0x3333);
+    // Memory corruption: sparse tag/data bit flips whose detection
+    // must degrade to machine checks, never forged capabilities (the
+    // oracle's machine-check-containment rule).
+    inj.failRandomly(FaultPoint::TagBitFlip, 31, case_seed ^ 0x4444);
+    inj.failRandomly(FaultPoint::DataBitFlip, 211, case_seed ^ 0x5555);
+}
+
+/** Point @p proc at a generated program: c[8]/x[8] address the data
+ *  page, the other work registers start at zero, and under CheriABI
+ *  the PCC covers just the code page.  Returns the scheduler context,
+ *  which the caller gives a step limit and readies. */
+sched::ExecContext &
+enterProgram(Kernel &kern, Process &proc, Abi abi, u64 code_va,
+             u64 data_va)
+{
+    ThreadRegs &regs = proc.regs();
+    regs.c[8] = proc.as()
+                    .capForRange(data_va, pageSize,
+                                 PROT_READ | PROT_WRITE, false)
+                    .setAddress(data_va);
+    regs.x[8] = data_va;
+    for (unsigned i = 4; i <= 10; ++i) {
+        if (i != 8)
+            regs.x[i] = 0;
+    }
+    sched::ExecContext &cx = sched::schedulerFor(kern).context(proc);
+    if (abi == Abi::CheriAbi) {
+        cx.interp->setEntry(proc.as()
+                                .capForRange(code_va, pageSize,
+                                             PROT_READ | PROT_EXEC, false)
+                                .setAddress(code_va));
+    } else {
+        cx.interp->setEntry(Capability::fromAddress(code_va));
+    }
+    return cx;
+}
+
 /** First-failure artifact: snapshot the kernel the moment a case first
  *  goes bad, while it still holds the offending state. */
 void
@@ -442,6 +522,21 @@ capturePanic(ExecResult &er, Kernel &kern)
                              "artifact for the flight-recorder ring)"});
 }
 
+/** One invariant-oracle pass: count it, snapshot the kernel on the
+ *  first violation and keep up to maxViolationsPerRun of them. */
+void
+runOracle(ExecResult &er, Kernel &kern, const FuzzOptions &opts)
+{
+    Report rep = Invariants::check(kern);
+    ++er.oracleRuns;
+    if (!rep.violations.empty())
+        captureSnapshot(er, kern, opts);
+    for (Violation &v : rep.violations) {
+        if (er.violations.size() < maxViolationsPerRun)
+            er.violations.push_back(std::move(v));
+    }
+}
+
 void
 hashRegion(ExecResult &er, Process &proc, const char *name, u64 va,
            u64 len)
@@ -469,14 +564,8 @@ execCase(Abi abi, const FuzzOptions &opts, u64 case_seed,
          const std::vector<GenOp> &ops)
 {
     ExecResult er;
-    obs::Metrics metrics; // must outlive the kernel
-    KernelConfig cfg;
-    cfg.frameCapacity = opts.frameCapacity;
-    cfg.swapSlotBudget = opts.swapSlotBudget;
-    Kernel kern(cfg);
-    kern.setMetrics(&metrics);
-    snap::installPanicSnapshotHook(kern);
-    TapGuard tap(kern.faultInjector(), opts.replay);
+    CaseKernel ck(opts);
+    Kernel &kern = ck.kern;
 
     Process *proc = kern.spawn(abi, "fuzz");
     SelfObject prog = fuzzProgram();
@@ -525,16 +614,8 @@ execCase(Abi abi, const FuzzOptions &opts, u64 case_seed,
             er.events.push_back(fmt("%s e%d v%" PRIu64, name.c_str(),
                                     err ? 1 : 0, mask_val ? 0 : val));
         }
-        if (opts.checkEvery && dispatches % opts.checkEvery == 0) {
-            Report rep = Invariants::check(kern);
-            ++er.oracleRuns;
-            if (!rep.violations.empty())
-                captureSnapshot(er, kern, opts);
-            for (Violation &v : rep.violations) {
-                if (er.violations.size() < maxViolationsPerRun)
-                    er.violations.push_back(std::move(v));
-            }
-        }
+        if (opts.checkEvery && dispatches % opts.checkEvery == 0)
+            runOracle(er, kern, opts);
     });
 
     // Scratch layout: page 0 paths + touch fallback, page 1 write
@@ -579,20 +660,8 @@ execCase(Abi abi, const FuzzOptions &opts, u64 case_seed,
     kern.sysSigaction(*proc, SIG_USR1,
                       {SigAction::Kind::Handler, hid});
 
-    if (opts.inject) {
-        FaultInjector &inj = kern.faultInjector();
-        inj.failRandomly(FaultPoint::FrameAlloc, 13,
-                         case_seed ^ 0x1111);
-        inj.failRandomly(FaultPoint::SwapOut, 7, case_seed ^ 0x2222);
-        inj.failRandomly(FaultPoint::SwapIn, 5, case_seed ^ 0x3333);
-        // Memory corruption: sparse tag/data bit flips whose detection
-        // must degrade to machine checks, never forged capabilities
-        // (the oracle's machine-check-containment rule).
-        inj.failRandomly(FaultPoint::TagBitFlip, 31,
-                         case_seed ^ 0x4444);
-        inj.failRandomly(FaultPoint::DataBitFlip, 211,
-                         case_seed ^ 0x5555);
-    }
+    if (opts.inject)
+        armInjection(kern.faultInjector(), case_seed);
 
     std::vector<Region> regions;
     std::vector<u64> childPids;
@@ -764,33 +833,14 @@ execCase(Abi abi, const FuzzOptions &opts, u64 case_seed,
                 break;
             }
             ThreadRegs &regs = proc->regs();
-            u64 data_va = scratch_va + 3 * pageSize;
-            regs.c[8] = proc->as()
-                            .capForRange(data_va, pageSize,
-                                         PROT_READ | PROT_WRITE, false)
-                            .setAddress(data_va);
-            regs.x[8] = data_va;
-            for (unsigned i = 4; i <= 10; ++i) {
-                if (i != 8)
-                    regs.x[i] = 0;
-            }
             // Persistent per-process execution context: the decode
             // cache stays warm across Compute ops, and execution runs
             // through the kernel's scheduler (preemptible at the
             // configured time slice) instead of a private loop.
-            sched::Scheduler &s = sched::schedulerFor(kern);
-            sched::ExecContext &cx = s.context(*proc);
-            if (abi == Abi::CheriAbi) {
-                cx.interp->setEntry(
-                    proc->as()
-                        .capForRange(code_va, pageSize,
-                                     PROT_READ | PROT_EXEC, false)
-                        .setAddress(code_va));
-            } else {
-                cx.interp->setEntry(Capability::fromAddress(code_va));
-            }
+            sched::ExecContext &cx = enterProgram(
+                kern, *proc, abi, code_va, scratch_va + 3 * pageSize);
             cx.stepLimit = 4096;
-            s.ready(cx);
+            sched::schedulerFor(kern).ready(cx);
             kern.runUntilIdle();
             isa::InterpResult res = cx.last;
             // Steps across the whole ready-window, not just the final
@@ -886,16 +936,8 @@ execCase(Abi abi, const FuzzOptions &opts, u64 case_seed,
     kern.faultInjector().disarmAll();
     capturePanic(er, kern);
 
-    if (opts.checkEvery) {
-        Report rep = Invariants::check(kern);
-        ++er.oracleRuns;
-        if (!rep.violations.empty())
-            captureSnapshot(er, kern, opts);
-        for (Violation &v : rep.violations) {
-            if (er.violations.size() < maxViolationsPerRun)
-                er.violations.push_back(std::move(v));
-        }
-    }
+    if (opts.checkEvery)
+        runOracle(er, kern, opts);
 
     if (VNodeRef out = kern.vfs().lookup("/fz_out"))
         er.output = out->data;
@@ -918,7 +960,7 @@ execCase(Abi abi, const FuzzOptions &opts, u64 case_seed,
     er.events.push_back(fmt("handlers %" PRIu64, handler_runs));
 
     if (opts.keepMetricsJson)
-        er.metricsJson = metrics.toJson();
+        er.metricsJson = ck.metrics.toJson();
 
     // The hook closure references stack locals; detach before unwind.
     kern.setCheckHook(nullptr);
@@ -937,15 +979,8 @@ ExecResult
 execCaseMulti(Abi abi, const FuzzOptions &opts, u64 case_seed)
 {
     ExecResult er;
-    obs::Metrics metrics; // must outlive the kernel
-    KernelConfig cfg;
-    cfg.frameCapacity = opts.frameCapacity;
-    cfg.swapSlotBudget = opts.swapSlotBudget;
-    cfg.timeSliceSteps = 32; // short slices: more boundaries to check
-    Kernel kern(cfg);
-    kern.setMetrics(&metrics);
-    snap::installPanicSnapshotHook(kern);
-    TapGuard tap(kern.faultInjector(), opts.replay);
+    CaseKernel ck(opts, 32); // short slices: more boundaries to check
+    Kernel &kern = ck.kern;
     sched::Scheduler &s = sched::schedulerFor(kern);
 
     u64 n = opts.multiProc < 2 ? 2 : (opts.multiProc > 4 ? 4 : opts.multiProc);
@@ -1004,26 +1039,8 @@ execCaseMulti(Abi abi, const FuzzOptions &opts, u64 case_seed)
                                      "fuzzdata");
         lower(genMultiProgram(rng), abi, pipe_rfd, pipe_wfd)
             .writeTo(proc->as(), code_va);
-        ThreadRegs &regs = proc->regs();
-        regs.c[8] = proc->as()
-                        .capForRange(data_va, pageSize,
-                                     PROT_READ | PROT_WRITE, false)
-                        .setAddress(data_va);
-        regs.x[8] = data_va;
-        for (unsigned ri = 4; ri <= 10; ++ri) {
-            if (ri != 8)
-                regs.x[ri] = 0;
-        }
-        sched::ExecContext &cx = s.context(*proc);
-        if (abi == Abi::CheriAbi) {
-            cx.interp->setEntry(
-                proc->as()
-                    .capForRange(code_va, pageSize,
-                                 PROT_READ | PROT_EXEC, false)
-                    .setAddress(code_va));
-        } else {
-            cx.interp->setEntry(Capability::fromAddress(code_va));
-        }
+        sched::ExecContext &cx =
+            enterProgram(kern, *proc, abi, code_va, data_va);
         cx.stepLimit = 16384;
         s.ready(cx);
         guests.push_back(proc);
@@ -1033,30 +1050,14 @@ execCaseMulti(Abi abi, const FuzzOptions &opts, u64 case_seed)
     // setup, so injected exhaustion lands in scheduled execution (the
     // comparison is skipped for injected runs, as in single-proc mode;
     // the oracle at every slice boundary is the sound check).
-    if (opts.inject) {
-        FaultInjector &inj = kern.faultInjector();
-        inj.failRandomly(FaultPoint::FrameAlloc, 13, case_seed ^ 0x1111);
-        inj.failRandomly(FaultPoint::SwapOut, 7, case_seed ^ 0x2222);
-        inj.failRandomly(FaultPoint::SwapIn, 5, case_seed ^ 0x3333);
-        inj.failRandomly(FaultPoint::TagBitFlip, 31, case_seed ^ 0x4444);
-        inj.failRandomly(FaultPoint::DataBitFlip, 211,
-                         case_seed ^ 0x5555);
-    }
+    if (opts.inject)
+        armInjection(kern.faultInjector(), case_seed);
 
     // The oracle at every slice boundary: register files have just
     // been switched at an instruction boundary, so every whole-system
     // invariant must hold.
     if (opts.checkEvery) {
-        s.setSliceHook([&](Process &) {
-            Report rep = Invariants::check(kern);
-            ++er.oracleRuns;
-            if (!rep.violations.empty())
-                captureSnapshot(er, kern, opts);
-            for (Violation &v : rep.violations) {
-                if (er.violations.size() < maxViolationsPerRun)
-                    er.violations.push_back(std::move(v));
-            }
-        });
+        s.setSliceHook([&](Process &) { runOracle(er, kern, opts); });
     }
     kern.runUntilIdle();
     s.setSliceHook(nullptr);
@@ -1087,7 +1088,7 @@ execCaseMulti(Abi abi, const FuzzOptions &opts, u64 case_seed)
                             s.stats().wakes));
 
     if (opts.keepMetricsJson)
-        er.metricsJson = metrics.toJson();
+        er.metricsJson = ck.metrics.toJson();
 
     kern.setCheckHook(nullptr);
     return er;

@@ -123,6 +123,15 @@ class JsonWriter
         return *this;
     }
 
+    /** Splice in a complete JSON document verbatim as the next value. */
+    JsonWriter &
+    raw(std::string_view json)
+    {
+        comma();
+        out += json;
+        return *this;
+    }
+
     const std::string &str() const { return out; }
 
   private:
