@@ -38,6 +38,15 @@ note(const std::string &text)
     std::printf("%s\n", text.c_str());
 }
 
+/** A bench that cannot set up its workload (a failed boot, map or
+ *  store) says why on stderr and exits 1 instead of aborting. */
+[[noreturn]] inline void
+setupFailed(const char *bench, const std::string &what)
+{
+    std::fprintf(stderr, "%s: setup failed: %s\n", bench, what.c_str());
+    std::exit(1);
+}
+
 using Clock = std::chrono::steady_clock;
 
 inline double

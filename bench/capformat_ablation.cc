@@ -19,27 +19,13 @@ using namespace cheri::apps;
 namespace
 {
 
+/** Run @p w exactly as Figure 4 does, on a kernel using @p fmt. */
 WorkloadResult
 runWith(const Workload &w, Abi abi, compress::CapFormat fmt)
 {
     KernelConfig cfg;
     cfg.capFormat = fmt;
-    Kernel kern(cfg);
-    SelfObject prog;
-    prog.name = w.name;
-    Process *proc = kern.spawn(abi, w.name);
-    if (kern.execve(*proc, prog, {w.name}, {}) != E_OK)
-        throw std::runtime_error("execve failed");
-    GuestContext ctx(kern, *proc);
-    GuestMalloc heap(ctx);
-    proc->cost().reset();
-    w.run(ctx, heap);
-    WorkloadResult r;
-    r.name = w.name;
-    r.instructions = proc->cost().instructions();
-    r.cycles = proc->cost().cycles();
-    r.l2Misses = proc->cost().l2Misses();
-    return r;
+    return runWorkload(w, abi, cfg);
 }
 
 } // namespace

@@ -32,13 +32,7 @@ constexpr int kDispatchReps = 200000;
 constexpr u64 kBlockedContexts = 32;
 constexpr int kScanReps = 2000;
 
-SelfObject
-benchProgram()
-{
-    SelfObject prog;
-    prog.name = "hardbench";
-    return prog;
-}
+const SelfObject kProgram{.name = "hardbench"};
 
 /** Host-driven getpid dispatches per second at @p ring_depth. */
 double
@@ -47,9 +41,8 @@ dispatchRate(u64 ring_depth)
     KernelConfig cfg;
     cfg.flightRecorderDepth = ring_depth;
     Kernel kern(cfg);
-    SelfObject prog = benchProgram();
-    Process *p = kern.spawn(Abi::CheriAbi, "hardbench");
-    if (!p || kern.execve(*p, prog, {"hardbench"}, {}) != E_OK)
+    Process *p = kern.spawnExec(Abi::CheriAbi, kProgram, {"hardbench"});
+    if (!p)
         return 0;
     // Warm-up, then the timed loop.
     for (int i = 0; i < 1000; ++i)
@@ -74,17 +67,15 @@ watchdogScanNs()
     cfg.deadlockPolicy = DeadlockPolicy::Kill;
     Kernel kern(cfg);
     sched::Scheduler &s = sched::schedulerFor(kern);
-    SelfObject prog = benchProgram();
 
     // The capable host-driven peer: its mere existence makes every
     // ev_wait park wakeable.
-    Process *host = kern.spawn(Abi::Mips64, "host-peer");
-    if (!host || kern.execve(*host, prog, {"host-peer"}, {}) != E_OK)
+    if (!kern.spawnExec(Abi::Mips64, kProgram, {"host-peer"}))
         return -1;
 
     for (u64 i = 0; i < kBlockedContexts; ++i) {
-        Process *p = kern.spawn(Abi::Mips64, "parked");
-        if (!p || kern.execve(*p, prog, {"parked"}, {}) != E_OK)
+        Process *p = kern.spawnExec(Abi::Mips64, kProgram, {"parked"});
+        if (!p)
             return -1;
         u64 code = p->as().map(0, pageSize,
                                PROT_READ | PROT_WRITE | PROT_EXEC,

@@ -40,11 +40,10 @@ runKernel(Abi abi, bool capability_form, u64 words, obs::Metrics *mx,
 {
     Kernel kern;
     kern.setMetrics(mx); // wires per-ABI TLB counters into spawn
-    SelfObject prog;
-    prog.name = "isakernel";
-    Process *proc = kern.spawn(abi, "isakernel");
-    if (kern.execve(*proc, prog, {"isakernel"}, {}) != E_OK)
-        throw std::runtime_error("execve failed");
+    const SelfObject prog{.name = "isakernel"};
+    Process *proc = kern.spawnExec(abi, prog, {"isakernel"});
+    if (!proc)
+        bench::setupFailed("isa_overhead", "execve failed");
     u64 code = proc->as().map(0, pageSize,
                               PROT_READ | PROT_WRITE | PROT_EXEC,
                               MappingKind::Text);

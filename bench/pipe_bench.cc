@@ -25,7 +25,7 @@
  */
 
 #include <cstdlib>
-#include <stdexcept>
+#include <map>
 
 #include "bench_util.h"
 #include "isa/assembler.h"
@@ -99,11 +99,13 @@ transferLoop(int fd, SysNum op)
 Guest
 makeGuest(Kernel &kern, const char *name)
 {
-    SelfObject obj;
-    obj.name = name;
-    Process *proc = kern.spawn(Abi::Mips64, name);
-    if (kern.execve(*proc, obj, {name}, {}) != E_OK)
-        throw std::runtime_error("execve failed");
+    // The image points at its program, so the program outlives it.
+    static std::map<std::string, SelfObject> programs;
+    SelfObject &prog = programs[name];
+    prog.name = name;
+    Process *proc = kern.spawnExec(Abi::Mips64, prog, {name});
+    if (!proc)
+        bench::setupFailed("pipe_bench", "execve failed");
     u64 code = proc->as().map(0, pageSize,
                               PROT_READ | PROT_WRITE | PROT_EXEC,
                               MappingKind::Text);

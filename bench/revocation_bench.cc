@@ -24,17 +24,22 @@
  */
 
 #include <cstring>
-#include <stdexcept>
 #include <vector>
 
 #include "bench_util.h"
+#include "guest/context.h"
 #include "libc/revoke.h"
-#include "os/kernel.h"
 
 using namespace cheri;
 
 namespace
 {
+
+[[noreturn]] void
+fail(const std::string &what)
+{
+    bench::setupFailed("revocation_bench", what);
+}
 
 struct ModeResult
 {
@@ -65,11 +70,10 @@ runMode(const char *mode, u64 arena_pages, u64 dirty_every,
     KernelConfig cfg;
     cfg.revokeSliceBudget = slice_budget;
     Kernel kern(cfg);
-    SelfObject prog;
-    prog.name = "revoke";
-    Process *proc = kern.spawn(Abi::CheriAbi, "revoke");
-    if (kern.execve(*proc, prog, {"revoke"}, {}) != E_OK)
-        throw std::runtime_error("execve failed");
+    const SelfObject prog{.name = "revoke"};
+    Process *proc = kern.spawnExec(Abi::CheriAbi, prog, {"revoke"});
+    if (!proc)
+        fail("execve failed");
 
     // Arena: every page faulted in with plain data, but only every
     // dirty_every-th page takes a capability store — through the
@@ -78,7 +82,7 @@ runMode(const char *mode, u64 arena_pages, u64 dirty_every,
     u64 va = proc->as().map(0, len, PROT_READ | PROT_WRITE,
                             MappingKind::Data, false, false, "arena");
     if (va == 0)
-        throw std::runtime_error("arena map failed");
+        fail("arena map failed");
     Capability arena =
         proc->as().capForRange(va, len, PROT_READ | PROT_WRITE, false);
     std::vector<std::pair<u64, u64>> quarantine;
@@ -86,12 +90,12 @@ runMode(const char *mode, u64 arena_pages, u64 dirty_every,
         u64 pva = va + i * pageSize;
         u64 fill = pva * 2654435761u;
         if (proc->as().writeBytes(pva, &fill, 8).has_value())
-            throw std::runtime_error("arena touch failed");
+            fail("arena touch failed");
         if (i % dirty_every == 0) {
             auto bounded = arena.setAddress(pva).setBounds(64);
             if (!bounded.ok() ||
                 proc->mem().writeCap(pva, bounded.value()).has_value())
-                throw std::runtime_error("arena cap store failed");
+                fail("arena cap store failed");
             quarantine.emplace_back(pva, pva + pageSize);
             ++r.dirtyPages;
         }
@@ -148,31 +152,31 @@ swapAblation(bench::Report &rep)
          {SwapPolicy::PreserveTags, SwapPolicy::Naive}) {
         KernelConfig cfg;
         cfg.swapPolicy = policy;
-        Kernel kern(cfg);
-        SelfObject prog;
-        prog.name = "swap";
-        Process *proc = kern.spawn(Abi::CheriAbi, "swap");
-        kern.execve(*proc, prog, {"swap"}, {});
-        GuestContext ctx(kern, *proc);
-        GuestMalloc heap(ctx);
-        // A linked list across many pages...
-        GuestPtr head;
-        for (int i = 0; i < 256; ++i) {
-            GuestPtr node = heap.malloc(4000);
-            ctx.storePtr(node, 0, head);
-            head = node;
-        }
-        // ...paged out and walked back in.
-        proc->as().swapOutResident(1 << 20);
+        GuestSystem sys(Abi::CheriAbi, {.name = "swap"}, {"swap"}, {}, cfg);
+        if (!sys)
+            fail("execve failed");
         u64 reachable = 0;
-        try {
-            GuestPtr cur = head;
-            while (!cur.isNull() && cur.addr() != 0) {
-                ++reachable;
-                cur = ctx.loadPtr(cur, 0);
+        sys.hosted([&] {
+            GuestContext &ctx = *sys.ctx;
+            GuestMalloc heap(ctx);
+            // A linked list across many pages...
+            GuestPtr head;
+            for (int i = 0; i < 256; ++i) {
+                GuestPtr node = heap.malloc(4000);
+                ctx.storePtr(node, 0, head);
+                head = node;
             }
-        } catch (const CapTrap &) {
-        }
+            // ...paged out and walked back in.
+            sys.proc->as().swapOutResident(1 << 20);
+            try {
+                GuestPtr cur = head;
+                while (!cur.isNull() && cur.addr() != 0) {
+                    ++reachable;
+                    cur = ctx.loadPtr(cur, 0);
+                }
+            } catch (const CapTrap &) {
+            }
+        });
         t.row({std::string(policy == SwapPolicy::PreserveTags
                                ? "preserve-tags"
                                : "naive"),

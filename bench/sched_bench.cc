@@ -26,6 +26,8 @@
  * flat.
  */
 
+#include <map>
+
 #include "bench_util.h"
 #include "isa/assembler.h"
 #include "isa/interp.h"
@@ -72,11 +74,13 @@ buildLoop()
 Guest
 makeGuest(Kernel &kern, const char *name)
 {
-    SelfObject prog;
+    // The image points at its program, so the program outlives it.
+    static std::map<std::string, SelfObject> programs;
+    SelfObject &prog = programs[name];
     prog.name = name;
-    Process *proc = kern.spawn(Abi::Mips64, name);
-    if (kern.execve(*proc, prog, {name}, {}) != E_OK)
-        throw std::runtime_error("execve failed");
+    Process *proc = kern.spawnExec(Abi::Mips64, prog, {name});
+    if (!proc)
+        bench::setupFailed("sched_bench", "execve failed");
     u64 code = proc->as().map(0, 4 * pageSize,
                               PROT_READ | PROT_WRITE | PROT_EXEC,
                               MappingKind::Text);

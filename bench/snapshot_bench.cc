@@ -62,11 +62,12 @@ benchProgram()
 bool
 populate(Kernel &kern)
 {
-    SelfObject prog = benchProgram();
+    // The images point at their program, so the program outlives them.
+    static const SelfObject prog = benchProgram();
     for (u64 i = 0; i < kProcs; ++i) {
         Abi abi = (i & 1) ? Abi::Mips64 : Abi::CheriAbi;
-        Process *p = kern.spawn(abi, "snapbench");
-        if (!p || kern.execve(*p, prog, {"snapbench"}, {}) != E_OK)
+        Process *p = kern.spawnExec(abi, prog, {"snapbench"});
+        if (!p)
             return false;
         auto mk = sysInvoke(kern, *p, SysNum::Mmap,
                             {SysArg::p(UserPtr::null()),

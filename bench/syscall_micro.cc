@@ -39,16 +39,16 @@ struct MicroBench
 u64
 measure(const MicroBench &mb, Abi abi, u64 iters, obs::Metrics *mx)
 {
-    Kernel kern;
-    kern.setMetrics(mx);
-    SelfObject prog;
-    prog.name = mb.name;
-    Process *proc = kern.spawn(abi, mb.name);
-    if (kern.execve(*proc, prog, {mb.name}, {}) != E_OK)
+    GuestSystem sys;
+    sys.kern.setMetrics(mx);
+    if (!sys.boot(abi, {.name = mb.name}, {mb.name}))
         return 0;
-    GuestContext ctx(kern, *proc);
-    GuestMalloc heap(ctx);
-    return mb.run(ctx, heap, iters);
+    u64 cycles = 0;
+    sys.hosted([&] {
+        GuestMalloc heap(*sys.ctx);
+        cycles = mb.run(*sys.ctx, heap, iters);
+    });
+    return cycles;
 }
 
 /** pipe(2) through the numbered ABI: the kernel copies the two

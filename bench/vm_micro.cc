@@ -277,6 +277,8 @@ main(int argc, char **argv)
     SwapDevice swap;
     AddressSpace as(phys, swap, 1);
     MemAccess mem(as);
+    u64 tlb[numTlbCounters] = {};
+    mem.setCounterBlock(tlb);
     u64 base = as.map(0, kRegionBytes, PROT_READ | PROT_WRITE,
                       MappingKind::Data);
     // Prefault with a nonzero pattern so the sweeps measure steady
@@ -312,7 +314,6 @@ main(int argc, char **argv)
     results.push_back(runCopyinstr(as, mem, base));
     std::optional<double> fork_ms = runForkChurn(phys, swap);
     PressureResult pr = runPressure(frame_budget, slot_budget);
-    const MemAccess::Stats &st = mem.stats();
 
     rep.metric("region_bytes", "prefaulted region (bytes)", kRegionBytes);
     bench::Report::Table &t = rep.table(
@@ -340,9 +341,10 @@ main(int argc, char **argv)
                pr.pagesEvicted);
     rep.metric("pressure_ms", "pressure: time (ms)", pr.ms);
     rep.metric("pressure_completed", "pressure: completed", pr.completed);
-    rep.metric("tlb_data_hits", "TLB data hits", st.dataHits);
-    rep.metric("tlb_data_misses", "TLB data misses", st.dataMisses);
-    rep.metric("tlb_invalidations", "TLB invalidations", st.invalidations);
+    rep.metric("tlb_data_hits", "TLB data hits", tlb[TlbDataHit]);
+    rep.metric("tlb_data_misses", "TLB data misses", tlb[TlbDataMiss]);
+    rep.metric("tlb_invalidations", "TLB invalidations",
+               tlb[TlbInvalidation]);
 
     // Wrong results fail in every mode; the rest are --check gates.
     for (const PatternResult &r : results)

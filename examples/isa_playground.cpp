@@ -53,10 +53,12 @@ main()
     obs::Metrics metrics;
     kern.setMetrics(&metrics);
     kern.setTrace(&metrics); // learn capability provenance
-    SelfObject prog;
-    prog.name = "isa";
-    Process *proc = kern.spawn(Abi::CheriAbi, "isa");
-    kern.execve(*proc, prog, {"isa"}, {});
+    const SelfObject prog{.name = "isa"};
+    Process *proc = kern.spawnExec(Abi::CheriAbi, prog, {"isa"});
+    if (!proc) {
+        std::fprintf(stderr, "isa_playground: execve failed\n");
+        return 1;
+    }
     u64 code = proc->as().map(0, pageSize,
                               PROT_READ | PROT_WRITE | PROT_EXEC,
                               MappingKind::Text);
@@ -113,8 +115,9 @@ main()
                 statusName(r2.status),
                 std::string(capFaultName(r2.fault)).c_str());
 
-    Process *legacy = kern.spawn(Abi::Mips64, "isa-legacy");
-    kern.execve(*legacy, prog, {"isa-legacy"}, {});
+    Process *legacy = kern.spawnExec(Abi::Mips64, prog, {"isa-legacy"});
+    if (!legacy)
+        return 1;
     u64 code2 = legacy->as().map(0, pageSize,
                                  PROT_READ | PROT_WRITE | PROT_EXEC,
                                  MappingKind::Text);

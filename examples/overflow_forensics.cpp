@@ -34,49 +34,51 @@ buggyCopy(GuestContext &ctx, GuestMalloc &heap, const GuestPtr &record)
     gStrcpy(ctx, record, staging); // record is only 16 bytes
 }
 
-void
+bool
 runScenario(Abi abi)
 {
-    Kernel kern;
-    SelfObject prog;
-    prog.name = "forensics";
-    prog.textSize = 0x1000;
-    Process *proc = kern.spawn(abi, "forensics");
-    kern.execve(*proc, prog, {"forensics"}, {});
-    GuestContext ctx(kern, *proc);
+    GuestSystem sys(abi, {.name = "forensics", .textSize = 0x1000},
+                    {"forensics"});
+    if (!sys) {
+        std::fprintf(stderr, "overflow_forensics: execve failed\n");
+        return false;
+    }
+    Process *proc = sys.proc;
+    GuestContext &ctx = *sys.ctx;
     GuestMalloc heap(ctx);
 
     std::printf("\n--- %s ---\n",
                 abi == Abi::CheriAbi ? "CheriABI" : "mips64 (legacy)");
 
     // A 16-byte name field, with the access-control list right after
-    // it on the heap.
-    GuestPtr name_field = heap.malloc(16);
-    GuestPtr acl = heap.malloc(16);
-    ctx.store<u64>(acl, 0, 0600); // rw-------
-    std::printf("acl before: 0%lo\n",
-                static_cast<unsigned long>(ctx.load<u64>(acl)));
-
-    // Catch capability faults instead of dying.
-    u64 hid = proc->registerHandler([&](Process &p, SigFrame &f) {
-        std::printf("SIG_PROT caught: signo=%d (capability fault)\n",
-                    f.signo);
-        (void)p;
+    // it on the heap; capability faults are caught instead of fatal.
+    GuestPtr name_field, acl;
+    sys.hosted([&] {
+        name_field = heap.malloc(16);
+        acl = heap.malloc(16);
+        ctx.store<u64>(acl, 0, 0600); // rw-------
+        std::printf("acl before: 0%lo\n",
+                    static_cast<unsigned long>(ctx.load<u64>(acl)));
+        u64 hid = proc->registerHandler([](Process &, SigFrame &f) {
+            std::printf("SIG_PROT caught: signo=%d (capability fault)\n",
+                        f.signo);
+        });
+        sys.kern.sysSigaction(*proc, SIG_PROT,
+                              {SigAction::Kind::Handler, hid});
     });
-    kern.sysSigaction(*proc, SIG_PROT, {SigAction::Kind::Handler, hid});
 
     // runGuest exits the process when the body returns, releasing its
     // memory: the body reads the ACL while the process is alive.  A
     // trapped copy unwinds the body first; then the handler has kept
     // the process alive and the ACL is read afterwards.
     u64 acl_after = 0;
-    int rc = runGuest(ctx, [&](GuestContext &c) {
+    int rc = runGuest(*sys.ctx, [&](GuestContext &c) {
         buggyCopy(c, heap, name_field);
         acl_after = c.load<u64>(acl);
         return 0;
     });
     if (!proc->exited())
-        acl_after = ctx.load<u64>(acl);
+        sys.hosted([&] { acl_after = ctx.load<u64>(acl); });
 
     std::printf("acl after:  0%lo %s\n",
                 static_cast<unsigned long>(acl_after),
@@ -87,17 +89,20 @@ runScenario(Abi abi)
 
     if (abi == Abi::CheriAbi && !proc->exited()) {
         // Bonus: page the heap out and back in; the pointers survive.
-        GuestPtr table = heap.malloc(32);
-        ctx.storePtr(table, 0, acl);
-        u64 evicted = proc->as().swapOutResident(1 << 20);
-        std::printf("swap:       evicted %lu pages (tags recorded in "
-                    "swap metadata)\n",
-                    static_cast<unsigned long>(evicted));
-        GuestPtr back = ctx.loadPtr(table, 0);
-        std::printf("after swap-in: stored pointer %s, *ptr=0%lo\n",
-                    back.cap.tag() ? "still tagged" : "DEAD",
-                    static_cast<unsigned long>(ctx.load<u64>(back)));
+        sys.hosted([&] {
+            GuestPtr table = heap.malloc(32);
+            ctx.storePtr(table, 0, acl);
+            u64 evicted = proc->as().swapOutResident(1 << 20);
+            std::printf("swap:       evicted %lu pages (tags recorded in "
+                        "swap metadata)\n",
+                        static_cast<unsigned long>(evicted));
+            GuestPtr back = ctx.loadPtr(table, 0);
+            std::printf("after swap-in: stored pointer %s, *ptr=0%lo\n",
+                        back.cap.tag() ? "still tagged" : "DEAD",
+                        static_cast<unsigned long>(ctx.load<u64>(back)));
+        });
     }
+    return true;
 }
 
 } // namespace
@@ -106,7 +111,5 @@ int
 main()
 {
     std::printf("One buggy strcpy, two worlds:\n");
-    runScenario(Abi::Mips64);
-    runScenario(Abi::CheriAbi);
-    return 0;
+    return runScenario(Abi::Mips64) && runScenario(Abi::CheriAbi) ? 0 : 1;
 }

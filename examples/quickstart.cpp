@@ -22,13 +22,14 @@ using namespace cheri;
 int
 main()
 {
-    // 1. Boot a kernel and create a CheriABI process.
-    Kernel kern;
-    SelfObject prog;
-    prog.name = "hello";
-    prog.textSize = 0x1000;
-    Process *proc = kern.spawn(Abi::CheriAbi, "hello");
-    kern.execve(*proc, prog, {"hello", "world"}, {"LANG=C"});
+    // 1. Boot a kernel and exec a CheriABI process.
+    GuestSystem sys(Abi::CheriAbi, {.name = "hello", .textSize = 0x1000},
+                    {"hello", "world"}, {"LANG=C"});
+    if (!sys) {
+        std::fprintf(stderr, "quickstart: execve failed\n");
+        return 1;
+    }
+    Process *proc = sys.proc;
 
     std::printf("booted: pid=%lu principal=%lu\n",
                 static_cast<unsigned long>(proc->pid()),
@@ -41,8 +42,7 @@ main()
                 proc->regs().ddc.toString().c_str());
 
     // 2. Run guest code in the process.
-    GuestContext ctx(kern, *proc);
-    int rc = runGuest(ctx, [](GuestContext &ctx) {
+    int rc = runGuest(*sys.ctx, [](GuestContext &ctx) {
         // The C runtime finds argv through the aux vector.
         CrtEnv env = crtInit(ctx);
         std::printf("\nguest: argc=%d argv[0]=\"%s\" argv[1]=\"%s\"\n",

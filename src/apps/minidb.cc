@@ -16,18 +16,9 @@ namespace
 SelfObject
 makeLibpq()
 {
-    SelfObject lib;
-    lib.name = "libpq.so";
-    lib.textSize = 0x10000;
-    lib.data.resize(2048);
-    for (int i = 0; i < 24; ++i) {
-        lib.symbols.push_back(
-            {"pq_global_" + std::to_string(i),
-             static_cast<u64>(i * 64), 64, false});
-        lib.relocs.push_back(
-            {RelocKind::CapGlobal, static_cast<u64>(i), 0,
-             "pq_global_" + std::to_string(i)});
-    }
+    SelfObject lib{.name = "libpq.so", .textSize = 0x10000,
+                   .data = std::vector<u8>(2048)};
+    lib.addGlobals("pq_global_", 24, 64);
     lib.symbols.push_back({"PQconnect", 0x100, 0x200, true});
     lib.relocs.push_back({RelocKind::CapFunction, 24, 0, "PQconnect"});
     return lib;
@@ -36,37 +27,19 @@ makeLibpq()
 SelfObject
 makeLibpgcommon()
 {
-    SelfObject lib;
-    lib.name = "libpgcommon.so";
-    lib.textSize = 0x8000;
-    lib.data.resize(1024);
-    for (int i = 0; i < 16; ++i) {
-        lib.symbols.push_back(
-            {"pg_common_" + std::to_string(i),
-             static_cast<u64>(i * 32), 32, false});
-        lib.relocs.push_back(
-            {RelocKind::CapGlobal, static_cast<u64>(i), 0,
-             "pg_common_" + std::to_string(i)});
-    }
+    SelfObject lib{.name = "libpgcommon.so", .textSize = 0x8000,
+                   .data = std::vector<u8>(1024)};
+    lib.addGlobals("pg_common_", 16, 32);
     return lib;
 }
 
 SelfObject
 makeInitdbProgram()
 {
-    SelfObject prog;
-    prog.name = "initdb";
-    prog.textSize = 0x20000;
-    prog.data.resize(4096);
-    prog.needed = {"libpq.so", "libpgcommon.so"};
-    for (int i = 0; i < 32; ++i) {
-        prog.symbols.push_back(
-            {"initdb_global_" + std::to_string(i),
-             static_cast<u64>(i * 64), 64, false});
-        prog.relocs.push_back(
-            {RelocKind::CapGlobal, static_cast<u64>(i), 0,
-             "initdb_global_" + std::to_string(i)});
-    }
+    SelfObject prog{.name = "initdb", .textSize = 0x20000,
+                    .data = std::vector<u8>(4096),
+                    .needed = {"libpq.so", "libpgcommon.so"}};
+    prog.addGlobals("initdb_global_", 32, 64);
     return prog;
 }
 
@@ -269,54 +242,56 @@ runInitdb(Abi abi, MachineFeatures features, bool asan)
     KernelConfig cfg;
     cfg.features = features;
     cfg.features.asanInstrumentation = asan;
-    Kernel kern(cfg);
+    GuestSystem sys(cfg);
     static const SelfObject libpq = makeLibpq();
     static const SelfObject libpgcommon = makeLibpgcommon();
-    kern.rtld().registerLibrary(&libpq);
-    kern.rtld().registerLibrary(&libpgcommon);
+    sys.kern.rtld().registerLibrary(&libpq);
+    sys.kern.rtld().registerLibrary(&libpgcommon);
     static const SelfObject prog = makeInitdbProgram();
-    Process *proc = kern.spawn(abi, "initdb");
-    if (kern.execve(*proc, prog,
-                    {"initdb", "-D", "/pgdata", "--no-sync"},
-                    {"LC_ALL=C"}) != E_OK) {
+    if (!sys.boot(abi, prog, {"initdb", "-D", "/pgdata", "--no-sync"},
+                  {"LC_ALL=C"}))
         throw std::runtime_error("initdb: execve failed");
-    }
-    GuestContext ctx(kern, *proc);
-    std::unique_ptr<AsanRuntime> asan_rt;
-    if (asan)
-        asan_rt = std::make_unique<AsanRuntime>(ctx);
-    // Measure the whole initdb run (it *is* the benchmark).
-    proc->cost().reset();
-    MiniPg pg(ctx, asan_rt.get());
-
+    GuestContext &ctx = *sys.ctx;
+    Vfs &vfs = sys.kern.vfs();
     InitdbResult r;
-    kern.vfs().mkdir("/pgdata/base/1");
-    kern.vfs().mkdir("/pgdata/global");
-    kern.vfs().mkdir("/pgdata/pg_xact");
-    kern.vfs().mkdir("/pgdata/pg_wal");
+    sys.hosted([&] {
+        std::unique_ptr<AsanRuntime> asan_rt;
+        if (asan)
+            asan_rt = std::make_unique<AsanRuntime>(ctx);
+        // Measure the whole initdb run (it *is* the benchmark).
+        ctx.cost().reset();
+        MiniPg pg(ctx, asan_rt.get());
 
-    // Bootstrap catalogs: pointer-dense hash tables, then sorted.
-    GuestPtr pg_class = pg.buildCatalog("pg_class", 360, r.catalogRows);
-    GuestPtr pg_type = pg.buildCatalog("pg_type", 420, r.catalogRows);
-    GuestPtr pg_proc = pg.buildCatalog("pg_proc", 900, r.catalogRows);
-    pg.sortCatalog(pg_proc, 64, 900);
-    pg.sortCatalog(pg_type, 64, 420);
-    (void)pg_class;
+        vfs.mkdir("/pgdata/base/1");
+        vfs.mkdir("/pgdata/global");
+        vfs.mkdir("/pgdata/pg_xact");
+        vfs.mkdir("/pgdata/pg_wal");
 
-    // Catalog relation files + WAL segment.
-    for (const auto &[path, bytes] : catalogFiles)
-        r.filesCreated += pg.writeFile(path, bytes);
-    r.filesCreated += pg.writeFile("/pgdata/pg_wal/000000010000", 256 * 1024);
-    r.filesCreated += pg.writeFile("/pgdata/postgresql.conf", 4 * 1024);
-    r.filesCreated += pg.writeFile("/pgdata/pg_hba.conf", 2 * 1024);
+        // Bootstrap catalogs: pointer-dense hash tables, then sorted.
+        GuestPtr pg_class =
+            pg.buildCatalog("pg_class", 360, r.catalogRows);
+        GuestPtr pg_type = pg.buildCatalog("pg_type", 420, r.catalogRows);
+        GuestPtr pg_proc = pg.buildCatalog("pg_proc", 900, r.catalogRows);
+        pg.sortCatalog(pg_proc, 64, 900);
+        pg.sortCatalog(pg_type, 64, 420);
+        (void)pg_class;
 
-    pg.setupSharedMemory();
-    pg.setupBackendTls();
+        // Catalog relation files + WAL segment.
+        for (const auto &[path, bytes] : catalogFiles)
+            r.filesCreated += pg.writeFile(path, bytes);
+        r.filesCreated +=
+            pg.writeFile("/pgdata/pg_wal/000000010000", 256 * 1024);
+        r.filesCreated += pg.writeFile("/pgdata/postgresql.conf", 4 * 1024);
+        r.filesCreated += pg.writeFile("/pgdata/pg_hba.conf", 2 * 1024);
 
-    r.instructions = proc->cost().instructions();
-    r.cycles = proc->cost().cycles();
-    r.l2Misses = proc->cost().l2Misses();
-    r.codeBytes = proc->cost().codeBytes();
+        pg.setupSharedMemory();
+        pg.setupBackendTls();
+    });
+    const CostModel &cost = ctx.cost();
+    r.instructions = cost.instructions();
+    r.cycles = cost.cycles();
+    r.l2Misses = cost.l2Misses();
+    r.codeBytes = cost.codeBytes();
     return r;
 }
 
@@ -556,39 +531,37 @@ buildRegressTests()
 RegressTotals
 runPgRegress(Abi abi, std::vector<RegressCase> *cases)
 {
-    Kernel kern;
-    SelfObject prog;
-    prog.name = "pg_regress";
-    Process *proc = kern.spawn(abi, "pg_regress");
-    if (kern.execve(*proc, prog, {"pg_regress"}, {}) != E_OK)
+    GuestSystem sys(abi, {.name = "pg_regress"}, {"pg_regress"});
+    if (!sys)
         throw std::runtime_error("pg_regress: execve failed");
-    GuestContext ctx(kern, *proc);
 
     RegressTotals totals;
     auto tests = buildRegressTests();
-    for (const RegressTest &t : tests) {
-        RegressCase rc;
-        rc.name = t.name;
-        if (t.requiresSbrk && abi == Abi::CheriAbi) {
-            rc.outcome = RegressCase::Outcome::Skip;
-            rc.detail = "sbrk not supported under CheriABI";
-            ++totals.skip;
-        } else {
-            Engine engine(ctx);
-            bool ok;
-            try {
-                ok = t.fn(engine);
-            } catch (const CapTrap &trap) {
-                ok = false;
-                rc.detail = trap.what();
+    sys.hosted([&] {
+        for (const RegressTest &t : tests) {
+            RegressCase rc;
+            rc.name = t.name;
+            if (t.requiresSbrk && abi == Abi::CheriAbi) {
+                rc.outcome = RegressCase::Outcome::Skip;
+                rc.detail = "sbrk not supported under CheriABI";
+                ++totals.skip;
+            } else {
+                Engine engine(*sys.ctx);
+                bool ok;
+                try {
+                    ok = t.fn(engine);
+                } catch (const CapTrap &trap) {
+                    ok = false;
+                    rc.detail = trap.what();
+                }
+                rc.outcome = ok ? RegressCase::Outcome::Pass
+                                : RegressCase::Outcome::Fail;
+                ++(ok ? totals.pass : totals.fail);
             }
-            rc.outcome = ok ? RegressCase::Outcome::Pass
-                            : RegressCase::Outcome::Fail;
-            ++(ok ? totals.pass : totals.fail);
+            if (cases)
+                cases->push_back(rc);
         }
-        if (cases)
-            cases->push_back(rc);
-    }
+    });
     return totals;
 }
 

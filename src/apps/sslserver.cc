@@ -13,17 +13,9 @@ namespace
 SelfObject
 makeLibcrypto()
 {
-    SelfObject lib;
-    lib.name = "libcrypto.so";
-    lib.textSize = 0x18000;
-    lib.data.resize(4096);
-    for (int i = 0; i < 20; ++i) {
-        lib.symbols.push_back({"crypto_table_" + std::to_string(i),
-                               static_cast<u64>(i * 128), 128, false});
-        lib.relocs.push_back({RelocKind::CapGlobal,
-                              static_cast<u64>(i), 0,
-                              "crypto_table_" + std::to_string(i)});
-    }
+    SelfObject lib{.name = "libcrypto.so", .textSize = 0x18000,
+                   .data = std::vector<u8>(4096)};
+    lib.addGlobals("crypto_table_", 20, 128);
     lib.symbols.push_back({"BN_mod_exp", 0x400, 0x300, true});
     lib.symbols.push_back({"EVP_cipher", 0x800, 0x200, true});
     lib.relocs.push_back({RelocKind::CapFunction, 20, 0, "BN_mod_exp"});
@@ -34,18 +26,9 @@ makeLibcrypto()
 SelfObject
 makeLibssl()
 {
-    SelfObject lib;
-    lib.name = "libssl.so";
-    lib.textSize = 0x14000;
-    lib.data.resize(2048);
-    lib.needed = {"libcrypto.so"};
-    for (int i = 0; i < 12; ++i) {
-        lib.symbols.push_back({"ssl_state_" + std::to_string(i),
-                               static_cast<u64>(i * 64), 64, false});
-        lib.relocs.push_back({RelocKind::CapGlobal,
-                              static_cast<u64>(i), 0,
-                              "ssl_state_" + std::to_string(i)});
-    }
+    SelfObject lib{.name = "libssl.so", .textSize = 0x14000,
+                   .data = std::vector<u8>(2048), .needed = {"libcrypto.so"}};
+    lib.addGlobals("ssl_state_", 12, 64);
     lib.symbols.push_back({"SSL_accept", 0x200, 0x400, true});
     lib.relocs.push_back({RelocKind::CapFunction, 12, 0, "SSL_accept"});
     lib.relocs.push_back({RelocKind::CapFunction, 13, 0, "BN_mod_exp"});
@@ -55,18 +38,9 @@ makeLibssl()
 SelfObject
 makeServerProgram()
 {
-    SelfObject prog;
-    prog.name = "mini_s_server";
-    prog.textSize = 0xC000;
-    prog.data.resize(1024);
-    prog.needed = {"libssl.so"};
-    for (int i = 0; i < 8; ++i) {
-        prog.symbols.push_back({"srv_conf_" + std::to_string(i),
-                                static_cast<u64>(i * 32), 32, false});
-        prog.relocs.push_back({RelocKind::CapGlobal,
-                               static_cast<u64>(i), 0,
-                               "srv_conf_" + std::to_string(i)});
-    }
+    SelfObject prog{.name = "mini_s_server", .textSize = 0xC000,
+                    .data = std::vector<u8>(1024), .needed = {"libssl.so"}};
+    prog.addGlobals("srv_conf_", 8, 32);
     prog.relocs.push_back({RelocKind::CapFunction, 8, 0, "SSL_accept"});
     return prog;
 }
@@ -102,51 +76,26 @@ cipherInPlace(GuestContext &ctx, const GuestPtr &buf, u64 len, u64 key)
     }
 }
 
-} // namespace
-
-SslServerReport
-runSslServer(Abi abi, TraceSink *trace)
+/** The server body: handshake with the in-process client over a pty,
+ *  then serve the document encrypted. */
+void
+serve(GuestContext &ctx, SslServerReport &report)
 {
-    Kernel kern;
-    kern.setTrace(trace);
-    static const SelfObject libcrypto = makeLibcrypto();
-    static const SelfObject libssl = makeLibssl();
-    kern.rtld().registerLibrary(&libcrypto);
-    kern.rtld().registerLibrary(&libssl);
-    static const SelfObject prog = makeServerProgram();
-
-    // The document the server will serve.
-    auto doc = kern.vfs().createFile("/var/www/index.html");
-    std::string body =
-        "<html><body>CheriABI reproduction: abstract capabilities "
-        "in practice</body></html>\n";
-    for (int i = 0; i < 220; ++i) {
-        doc->data.insert(doc->data.end(), body.begin(), body.end());
-    }
-
-    Process *proc = kern.spawn(abi, "mini_s_server");
-    if (kern.execve(*proc, prog,
-                    {"mini_s_server", "-cert", "/etc/server.pem",
-                     "-www"},
-                    {"OPENSSL_CONF=/etc/openssl.cnf"}) != E_OK) {
-        throw std::runtime_error("s_server: execve failed");
-    }
-    GuestContext ctx(kern, *proc);
+    Kernel &kern = ctx.kernel();
+    Process &proc = ctx.proc();
     GuestMalloc heap(ctx);
     GuestTls tls(ctx);
-
-    SslServerReport report;
 
     // "Listening socket": a pty pair; the master side is the client.
     auto [client_end, server_end] = Vfs::makePty();
     auto server_of = std::make_shared<OpenFile>();
     server_of->node = server_end;
     server_of->flags = O_RDWR;
-    int server_fd = proc->allocFd(server_of);
+    int server_fd = proc.allocFd(server_of);
     auto client_of = std::make_shared<OpenFile>();
     client_of->node = client_end;
     client_of->flags = O_RDWR;
-    int client_fd = proc->allocFd(client_of);
+    int client_fd = proc.allocFd(client_of);
 
     // Session state lives in libssl's TLS block.
     GuestPtr session = tls.moduleBlock(2, 256);
@@ -156,7 +105,7 @@ runSslServer(Abi abi, TraceSink *trace)
     reg.ident = server_fd;
     reg.filter = KFilter::Read;
     reg.udata = session.cap;
-    kern.sysKevent(*proc, {reg}, nullptr, 0);
+    kern.sysKevent(proc, {reg}, nullptr, 0);
 
     // --- Client hello: nonce + DH-ish public value. -----------------
     {
@@ -171,7 +120,7 @@ runSslServer(Abi abi, TraceSink *trace)
 
         // --- Server accept: poll, read hello, compute shared key. ---
         std::vector<KEvent> events;
-        kern.sysKevent(*proc, {}, &events, 4);
+        kern.sysKevent(proc, {}, &events, 4);
         report.handshakeOk = !events.empty() &&
                              events[0].udata.address() ==
                                  session.cap.address();
@@ -244,6 +193,37 @@ runSslServer(Abi abi, TraceSink *trace)
         ctx.close(static_cast<int>(fd));
     }
     ++report.sessionsServed;
+}
+
+} // namespace
+
+SslServerReport
+runSslServer(Abi abi, TraceSink *trace)
+{
+    GuestSystem sys;
+    Kernel &kern = sys.kern;
+    kern.setTrace(trace);
+    static const SelfObject libcrypto = makeLibcrypto();
+    static const SelfObject libssl = makeLibssl();
+    kern.rtld().registerLibrary(&libcrypto);
+    kern.rtld().registerLibrary(&libssl);
+    static const SelfObject prog = makeServerProgram();
+
+    // The document the server will serve.
+    auto doc = kern.vfs().createFile("/var/www/index.html");
+    std::string body =
+        "<html><body>CheriABI reproduction: abstract capabilities "
+        "in practice</body></html>\n";
+    for (int i = 0; i < 220; ++i) {
+        doc->data.insert(doc->data.end(), body.begin(), body.end());
+    }
+
+    if (!sys.boot(abi, prog,
+                  {"mini_s_server", "-cert", "/etc/server.pem", "-www"},
+                  {"OPENSSL_CONF=/etc/openssl.cnf"}))
+        throw std::runtime_error("s_server: execve failed");
+    SslServerReport report;
+    sys.hosted([&] { serve(*sys.ctx, report); });
     kern.setTrace(nullptr);
     return report;
 }

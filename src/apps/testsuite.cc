@@ -32,35 +32,15 @@ struct SuiteTest
     bool excludedOnCheri = false;
 };
 
-/** Fresh system per suite run. */
-struct SuiteEnv
-{
-    explicit SuiteEnv(Abi abi)
-    {
-        prog.name = "testsuite";
-        proc = kern.spawn(abi, "testsuite");
-        if (kern.execve(*proc, prog, {"testsuite"}, {}) != E_OK)
-            throw std::runtime_error("testsuite execve failed");
-        ctx = std::make_unique<GuestContext>(kern, *proc);
-        heap = std::make_unique<GuestMalloc>(*ctx);
-    }
-
-    Kernel kern;
-    SelfObject prog;
-    Process *proc = nullptr;
-    std::unique_ptr<GuestContext> ctx;
-    std::unique_ptr<GuestMalloc> heap;
-};
-
 Outcome
-runOne(SuiteEnv &env, const SuiteTest &t, Abi abi)
+runOne(GuestContext &ctx, GuestMalloc &heap, const SuiteTest &t, Abi abi)
 {
     if (t.featureGated)
         return Outcome::Skip;
     if (t.needsSbrk && abi == Abi::CheriAbi)
         return Outcome::Skip;
     try {
-        return t.fn(*env.ctx, *env.heap) ? Outcome::Pass : Outcome::Fail;
+        return t.fn(ctx, heap) ? Outcome::Pass : Outcome::Fail;
     } catch (const CapTrap &) {
         return Outcome::Fail;
     } catch (const std::exception &) {
@@ -68,20 +48,26 @@ runOne(SuiteEnv &env, const SuiteTest &t, Abi abi)
     }
 }
 
+/** Run @p tests in one fresh process, as one hosted body. */
 SuiteTotals
 runSuite(const std::vector<SuiteTest> &tests, Abi abi)
 {
-    SuiteEnv env(abi);
+    GuestSystem sys(abi, {.name = "testsuite"}, {"testsuite"});
+    if (!sys)
+        throw std::runtime_error("testsuite execve failed");
     SuiteTotals totals;
-    for (const SuiteTest &t : tests) {
-        if (t.excludedOnCheri && abi == Abi::CheriAbi)
-            continue; // program not built for CheriABI: absent, not run
-        switch (runOne(env, t, abi)) {
-          case Outcome::Pass: ++totals.pass; break;
-          case Outcome::Fail: ++totals.fail; break;
-          case Outcome::Skip: ++totals.skip; break;
+    sys.hosted([&] {
+        GuestMalloc heap(*sys.ctx);
+        for (const SuiteTest &t : tests) {
+            if (t.excludedOnCheri && abi == Abi::CheriAbi)
+                continue; // program not built for CheriABI: absent
+            switch (runOne(*sys.ctx, heap, t, abi)) {
+              case Outcome::Pass: ++totals.pass; break;
+              case Outcome::Fail: ++totals.fail; break;
+              case Outcome::Skip: ++totals.skip; break;
+            }
         }
-    }
+    });
     return totals;
 }
 

@@ -1,7 +1,6 @@
 #include "apps/workloads.h"
 
 #include "libc/cstring.h"
-#include "os/sched/sched.h"
 
 namespace cheri::apps
 {
@@ -481,33 +480,25 @@ figure4Workloads()
 }
 
 WorkloadResult
-runWorkload(const Workload &w, Abi abi, MachineFeatures features,
-            u64 aslr_seed)
+runWorkload(const Workload &w, Abi abi, KernelConfig cfg, u64 aslr_seed)
 {
-    KernelConfig cfg;
-    cfg.features = features;
-    cfg.aslrSeed = aslr_seed;
-    Kernel kern(cfg);
-    SelfObject prog;
-    prog.name = w.name;
-    prog.textSize = 0x8000;
-    Process *proc = kern.spawn(abi, w.name);
-    if (kern.execve(*proc, prog, {w.name}, {}) != E_OK)
+    if (aslr_seed)
+        cfg.aslrSeed = aslr_seed;
+    GuestSystem sys(abi, {.name = w.name, .textSize = 0x8000}, {w.name}, {},
+                    cfg);
+    if (!sys)
         throw std::runtime_error("execve failed: " + w.name);
-    GuestContext ctx(kern, *proc);
-    GuestMalloc heap(ctx);
-    // Measure only the benchmark kernel, as the paper does.  The body
-    // runs as a hosted slice on the kernel's scheduler so workloads
-    // share the unified execution engine.
-    proc->cost().reset();
-    sched::schedulerFor(kern).runHosted(
-        *proc, [&] { w.run(ctx, heap); });
+    GuestMalloc heap(*sys.ctx);
+    // Measure only the benchmark kernel, as the paper does.
+    CostModel &cost = sys.proc->cost();
+    cost.reset();
+    sys.hosted([&] { w.run(*sys.ctx, heap); });
     WorkloadResult r;
     r.name = w.name;
-    r.instructions = proc->cost().instructions();
-    r.cycles = proc->cost().cycles();
-    r.l2Misses = proc->cost().l2Misses();
-    r.codeBytes = proc->cost().codeBytes();
+    r.instructions = cost.instructions();
+    r.cycles = cost.cycles();
+    r.l2Misses = cost.l2Misses();
+    r.codeBytes = cost.codeBytes();
     return r;
 }
 

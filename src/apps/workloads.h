@@ -51,12 +51,12 @@ struct Workload
 const std::vector<Workload> &figure4Workloads();
 
 /**
- * Run @p w in a fresh process under @p abi, measuring only the kernel
- * region (counters reset after setup).
+ * Run @p w in a fresh process under @p abi on a kernel configured by
+ * @p cfg, measuring only the kernel region (counters reset after
+ * setup).  A nonzero @p aslr_seed replaces cfg.aslrSeed.
  */
 WorkloadResult runWorkload(const Workload &w, Abi abi,
-                           MachineFeatures features = {},
-                           u64 aslr_seed = 0);
+                           KernelConfig cfg = {}, u64 aslr_seed = 0);
 
 /** Relative overhead in percent: (cheri - mips) / mips * 100. */
 double overheadPct(u64 mips, u64 cheri);

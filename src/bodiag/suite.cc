@@ -1,6 +1,5 @@
 #include "bodiag/suite.h"
 
-#include <cassert>
 #include <sstream>
 
 #include "guest/context.h"
@@ -59,31 +58,19 @@ magBytes(Magnitude m)
 /** The environment one case runs in. */
 struct CaseEnv
 {
-    Kernel kern;
-    SelfObject prog;
-    Process *proc = nullptr;
-    std::unique_ptr<GuestContext> ctx;
-    std::unique_ptr<AsanRuntime> asan;
+    GuestSystem sys;
     Mode mode;
+    std::unique_ptr<AsanRuntime> asan;
     /** An ASan case's buffer frame: must stay live for the whole case
      *  (popping it would move the stack pointer mid-access), so the
-     *  env owns it and tears it down last.  Declared after ctx/asan so
-     *  its destructor still sees them alive. */
+     *  env owns it and tears it down first. */
     std::unique_ptr<StackFrame> frame;
 
-    explicit CaseEnv(Mode m) : mode(m)
+    explicit CaseEnv(Mode m)
+        : sys(m == Mode::CheriAbi ? Abi::CheriAbi : Abi::Mips64,
+              {.name = "bodiag", .textSize = 0x1000}, {"bodiag"}),
+          mode(m)
     {
-        prog.name = "bodiag";
-        prog.textSize = 0x1000;
-        proc = kern.spawn(m == Mode::CheriAbi ? Abi::CheriAbi
-                                              : Abi::Mips64,
-                          "bodiag");
-        int err = kern.execve(*proc, prog, {"bodiag"}, {});
-        assert(err == E_OK);
-        (void)err;
-        ctx = std::make_unique<GuestContext>(kern, *proc);
-        if (m == Mode::Asan)
-            asan = std::make_unique<AsanRuntime>(*ctx);
     }
 
     bool cheri() const { return mode == Mode::CheriAbi; }
@@ -100,9 +87,9 @@ struct CaseEnv
             return;
         }
         if (kind == AccessKind::Write)
-            ctx->store<u8>(p, off, 0x41);
+            sys.ctx->store<u8>(p, off, 0x41);
         else
-            (void)ctx->load<u8>(p, off);
+            (void)sys.ctx->load<u8>(p, off);
     }
 
     /** Copy performed by instrumented library code. */
@@ -114,18 +101,18 @@ struct CaseEnv
             if (kind == AccessKind::Write) {
                 u8 v = mode == Mode::Asan
                            ? asan->load<u8>(src, static_cast<s64>(i))
-                           : ctx->load<u8>(src, static_cast<s64>(i));
+                           : sys.ctx->load<u8>(src, static_cast<s64>(i));
                 if (mode == Mode::Asan)
                     asan->store<u8>(dst, static_cast<s64>(i), v);
                 else
-                    ctx->store<u8>(dst, static_cast<s64>(i), v);
+                    sys.ctx->store<u8>(dst, static_cast<s64>(i), v);
             } else {
                 // "read" overflow: read from the buffer, write to a
                 // safely sized sink.
                 u8 v = mode == Mode::Asan
                            ? asan->load<u8>(dst, static_cast<s64>(i))
-                           : ctx->load<u8>(dst, static_cast<s64>(i));
-                ctx->store<u8>(src, 0, v);
+                           : sys.ctx->load<u8>(dst, static_cast<s64>(i));
+                sys.ctx->store<u8>(src, 0, v);
             }
         }
     }
@@ -272,7 +259,7 @@ generateSuite()
         add(Region::Global, AccessKind::Read, Technique::LoopIndex, s);
         add(Region::Heap, AccessKind::Write, Technique::LibcMemcpy, s);
     }
-    assert(suite.size() == 291 && "BOdiagsuite must have 291 cases");
+    CHERI_KASSERT(suite.size() == 291, "BOdiagsuite must have 291 cases");
     return suite;
 }
 
@@ -283,7 +270,7 @@ namespace
 Buffer
 buildBuffer(CaseEnv &env, const BodiagCase &c)
 {
-    GuestContext &ctx = *env.ctx;
+    GuestContext &ctx = *env.sys.ctx;
     const u64 struct_size = c.bufSize + c.siblingSize;
     Buffer out;
     out.scratch = ctx.mmap(2 * pageSize + 8 * 1024);
@@ -291,9 +278,9 @@ buildBuffer(CaseEnv &env, const BodiagCase &c)
     auto bound_cheri = [&](const Capability &region, u64 addr) {
         Capability cap = region.setAddress(addr);
         auto b = cap.setBounds(struct_size);
-        assert(b.ok());
+        CHERI_KASSERT(b.ok(), "the region covers every case's buffer");
         auto p = b.value().andPerms(permsData);
-        assert(p.ok());
+        CHERI_KASSERT(p.ok(), "data perms are a subset of the region's");
         return GuestPtr(p.value());
     };
 
@@ -311,9 +298,9 @@ buildBuffer(CaseEnv &env, const BodiagCase &c)
         // overflow lands in live stack and the MMU sees nothing.
         u64 depth = (c.id % 2) ? 256 * 1024 : 0;
         u64 total = 512 + struct_size + depth;
-        Capability sp = env.proc->regs().stack();
+        Capability sp = env.sys.proc->regs().stack();
         u64 base = (sp.address() - total) & ~u64{15};
-        env.proc->regs().stack() = sp.setAddress(base);
+        env.sys.proc->regs().stack() = sp.setAddress(base);
         u64 buf_addr = base + 128;
         out.ptr = env.cheri()
                       ? bound_cheri(sp, buf_addr)
@@ -389,7 +376,7 @@ void
 performAccess(CaseEnv &env, const BodiagCase &c, const Buffer &buf,
               Magnitude mag)
 {
-    GuestContext &ctx = *env.ctx;
+    GuestContext &ctx = *env.sys.ctx;
     const u64 bytes = magBytes(mag);
     // The faulty index: last valid byte for Ok, first/last overflowed
     // byte otherwise.
@@ -452,18 +439,26 @@ RunResult
 runCase(const BodiagCase &c, Magnitude mag, Mode mode)
 {
     CaseEnv env(mode);
-    Buffer buf = buildBuffer(env, c);
     RunResult out;
-    try {
-        performAccess(env, c, buf, mag);
-        out.detected = false;
-    } catch (const CapTrap &trap) {
-        out.detected = true;
-        out.how = std::string(capFaultName(trap.fault()));
-    } catch (const AsanReport &rep) {
-        out.detected = true;
-        out.how = "asan report";
+    if (!env.sys) {
+        out.how = "execve failed";
+        return out;
     }
+    env.sys.hosted([&] {
+        if (mode == Mode::Asan)
+            env.asan = std::make_unique<AsanRuntime>(*env.sys.ctx);
+        Buffer buf = buildBuffer(env, c);
+        try {
+            performAccess(env, c, buf, mag);
+            out.detected = false;
+        } catch (const CapTrap &trap) {
+            out.detected = true;
+            out.how = std::string(capFaultName(trap.fault()));
+        } catch (const AsanReport &rep) {
+            out.detected = true;
+            out.how = "asan report";
+        }
+    });
     if (mag == Magnitude::Ok && out.detected)
         out.falsePositive = true;
     return out;

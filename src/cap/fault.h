@@ -11,7 +11,6 @@
 #ifndef CHERI_CAP_FAULT_H
 #define CHERI_CAP_FAULT_H
 
-#include <cassert>
 #include <cstdint>
 #include <optional>
 #include <string_view>
@@ -75,17 +74,6 @@ std::string_view capFaultName(CapFault fault);
  * the fault that would be raised.
  */
 using CapCheck = std::optional<CapFault>;
-
-/**
- * For kernel-internal accesses that are correct by construction:
- * assert success in debug builds, consume the result in release.
- */
-inline void
-mustSucceed(CapCheck chk)
-{
-    assert(!chk.has_value());
-    (void)chk;
-}
 
 } // namespace cheri
 

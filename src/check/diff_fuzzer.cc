@@ -567,9 +567,9 @@ execCase(Abi abi, const FuzzOptions &opts, u64 case_seed,
     CaseKernel ck(opts);
     Kernel &kern = ck.kern;
 
-    Process *proc = kern.spawn(abi, "fuzz");
     SelfObject prog = fuzzProgram();
-    if (kern.execve(*proc, prog, {"fuzz"}, {}) != E_OK) {
+    Process *proc = kern.spawnExec(abi, prog, {"fuzz"});
+    if (!proc) {
         er.setupFailed = true;
         er.events.push_back("execve-failed");
         return er;
@@ -1021,8 +1021,8 @@ execCaseMulti(Abi abi, const FuzzOptions &opts, u64 case_seed)
 
     std::vector<Process *> guests;
     for (u64 i = 0; i < n; ++i) {
-        Process *proc = kern.spawn(abi, "fuzz-mp");
-        if (kern.execve(*proc, prog, {"fuzz-mp"}, {}) != E_OK) {
+        Process *proc = kern.spawnExec(abi, prog, {"fuzz-mp"});
+        if (!proc) {
             er.setupFailed = true;
             er.events.push_back("execve-failed");
             return er;

@@ -1030,30 +1030,24 @@ corpus()
     return instance;
 }
 
-namespace
-{
-
-/** Run one scenario in a fresh process; false on trap or failure. */
-bool
+Outcome
 runScenario(const Scenario &fn, Abi abi)
 {
-    Kernel kern;
-    SelfObject prog;
-    prog.name = "compat";
-    Process *proc = kern.spawn(abi, "compat");
-    if (kern.execve(*proc, prog, {"compat"}, {}) != E_OK)
-        return false;
-    GuestContext ctx(kern, *proc);
-    try {
-        return fn(ctx);
-    } catch (const CapTrap &) {
-        return false;
-    } catch (const std::exception &) {
-        return false;
-    }
+    GuestSystem sys(abi, {.name = "compat"}, {"compat"});
+    if (!sys)
+        return Outcome::Broken;
+    Outcome out = Outcome::Broken;
+    sys.hosted([&] {
+        try {
+            out = fn(*sys.ctx) ? Outcome::Worked : Outcome::Refused;
+        } catch (const CapTrap &) {
+            out = Outcome::Trapped;
+        } catch (const std::exception &) {
+            out = Outcome::Broken;
+        }
+    });
+    return out;
 }
-
-} // namespace
 
 std::vector<IdiomResult>
 runCorpus()
@@ -1062,10 +1056,13 @@ runCorpus()
     for (const Idiom &idiom : corpus()) {
         IdiomResult r;
         r.idiom = &idiom;
-        r.legacyOkMips = runScenario(idiom.legacy, Abi::Mips64);
-        r.legacyOkCheri = runScenario(idiom.legacy, Abi::CheriAbi);
-        r.fixedOkCheri = runScenario(idiom.fixed, Abi::CheriAbi);
-        r.fixedOkMips = runScenario(idiom.fixed, Abi::Mips64);
+        auto works = [&](const Scenario &fn, Abi abi) {
+            return runScenario(fn, abi) == Outcome::Worked;
+        };
+        r.legacyOkMips = works(idiom.legacy, Abi::Mips64);
+        r.legacyOkCheri = works(idiom.legacy, Abi::CheriAbi);
+        r.fixedOkCheri = works(idiom.fixed, Abi::CheriAbi);
+        r.fixedOkMips = works(idiom.fixed, Abi::Mips64);
         out.push_back(r);
     }
     return out;

@@ -98,6 +98,18 @@ struct IdiomResult
 /** The full corpus. */
 const std::vector<Idiom> &corpus();
 
+/** How one scenario run ended. */
+enum class Outcome
+{
+    Worked,  ///< the scenario returned true
+    Refused, ///< it returned false (e.g. the kernel denied a call)
+    Trapped, ///< a capability trap ended it
+    Broken,  ///< the boot failed, or it threw something else
+};
+
+/** Run one scenario in a fresh process under @p abi. */
+Outcome runScenario(const Scenario &fn, Abi abi);
+
 /** Run every idiom under both ABIs. */
 std::vector<IdiomResult> runCorpus();
 

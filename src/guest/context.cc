@@ -329,4 +329,10 @@ runGuest(GuestContext &ctx, const std::function<int(GuestContext &)> &fn)
     return rc;
 }
 
+void
+GuestSystem::hosted(std::function<void()> fn)
+{
+    sched::schedulerFor(kern).runHosted(*proc, std::move(fn));
+}
+
 } // namespace cheri

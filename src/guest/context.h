@@ -23,7 +23,9 @@
 
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "guest/guest_ptr.h"
 #include "machine/trap.h"
@@ -93,8 +95,6 @@ class GuestContext
     GuestPtr
     ptrFromInt(u64 addr) const
     {
-        if (isCheri())
-            return GuestPtr(Capability::fromAddress(addr));
         return GuestPtr(Capability::fromAddress(addr));
     }
 
@@ -231,6 +231,52 @@ class StackFrame
  * memory inside @p fn, not after it.
  */
 int runGuest(GuestContext &ctx, const std::function<int(GuestContext &)> &fn);
+
+/**
+ * The one way to boot a C++ guest: a kernel, one process booted by
+ * Kernel::spawnExec (Figure 1), and its GuestContext.  The body runs on
+ * the kernel's scheduler, through runGuest(*ctx, fn) (exit and fault
+ * semantics) or hosted() (one hosted slice; the process stays alive).
+ */
+class GuestSystem
+{
+  public:
+    /** Nothing booted yet: register libraries or attach observers on
+     *  @ref kern, then boot(). */
+    explicit GuestSystem(const KernelConfig &cfg = {}) : kern(cfg) {}
+
+    GuestSystem(Abi abi, SelfObject program,
+                const std::vector<std::string> &argv,
+                const std::vector<std::string> &envv = {},
+                const KernelConfig &cfg = {})
+        : kern(cfg)
+    {
+        boot(abi, std::move(program), argv, envv);
+    }
+
+    /** spawnExec @p program, kept here since the image refers to it;
+     *  false when it cannot be loaded.  Never throws. */
+    bool
+    boot(Abi abi, SelfObject program, const std::vector<std::string> &argv,
+         const std::vector<std::string> &envv = {})
+    {
+        prog = std::move(program);
+        proc = kern.spawnExec(abi, prog, argv, envv);
+        if (proc)
+            ctx = std::make_unique<GuestContext>(kern, *proc);
+        return proc != nullptr;
+    }
+
+    explicit operator bool() const { return proc != nullptr; }
+
+    /** An exception @p fn lets escape reaches the caller. */
+    void hosted(std::function<void()> fn);
+
+    Kernel kern;
+    SelfObject prog;
+    Process *proc = nullptr;
+    std::unique_ptr<GuestContext> ctx;
+};
 
 } // namespace cheri
 

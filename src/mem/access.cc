@@ -41,7 +41,6 @@ MemAccess::detach()
 Frame *
 MemAccess::missData(u64 page_va, bool for_write, bool cap_store)
 {
-    ++st.dataMisses;
     if (counters)
         ++counters[TlbDataMiss];
     if (cost)
@@ -67,7 +66,6 @@ MemAccess::missData(u64 page_va, bool for_write, bool cap_store)
 Frame *
 MemAccess::missFetch(u64 page_va)
 {
-    ++st.fetchMisses;
     if (counters)
         ++counters[TlbFetchMiss];
     if (cost)
@@ -280,7 +278,6 @@ MemAccess::invalidatePage(u64 page_va)
     if (i.pageVa == page_va)
         i = Entry{};
     ++_fetchGen;
-    ++st.invalidations;
     if (counters)
         ++counters[TlbInvalidation];
 }
@@ -305,7 +302,6 @@ MemAccess::invalidateRange(u64 start, u64 len)
         }
     }
     ++_fetchGen;
-    ++st.invalidations;
     if (counters)
         ++counters[TlbInvalidation];
 }
@@ -316,7 +312,6 @@ MemAccess::invalidateAll()
     dtlb.fill(Entry{});
     itlb.fill(Entry{});
     ++_fetchGen;
-    ++st.invalidations;
     if (counters)
         ++counters[TlbInvalidation];
 }

@@ -125,7 +125,6 @@ class MemAccess
     void
     countFetchHit()
     {
-        ++st.fetchHits;
         if (counters)
             ++counters[TlbFetchHit];
         if (cost)
@@ -144,17 +143,6 @@ class MemAccess
     /** The address space is going away; drop every translation. */
     void detach();
     /// @}
-
-    /** Local (per-object) statistics, independent of the Metrics block. */
-    struct Stats
-    {
-        u64 dataHits = 0;
-        u64 dataMisses = 0;
-        u64 fetchHits = 0;
-        u64 fetchMisses = 0;
-        u64 invalidations = 0;
-    };
-    const Stats &stats() const { return st; }
 
   private:
     struct Entry
@@ -201,7 +189,6 @@ class MemAccess
     void
     countDataHit()
     {
-        ++st.dataHits;
         if (counters)
             ++counters[TlbDataHit];
         if (cost)
@@ -212,7 +199,6 @@ class MemAccess
     CostModel *cost = nullptr;
     u64 *counters = nullptr;
     u64 _fetchGen = 1;
-    Stats st;
     std::array<Entry, tlbSize> dtlb{};
     std::array<Entry, tlbSize> itlb{};
 };

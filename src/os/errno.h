@@ -21,6 +21,9 @@ enum Errno : int
     E_NOENT = 2,
     E_SRCH = 3,
     E_INTR = 4,
+    /** execve: the image cannot be linked (missing library,
+     *  unresolved symbol). */
+    E_NOEXEC = 8,
     E_BADF = 9,
     E_CHILD = 10,
     /** Deadlock detected: the watchdog killed a victim whose waiter

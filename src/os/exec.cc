@@ -22,6 +22,18 @@ namespace cheri
 namespace
 {
 
+/** Memory ran out while an image loaded; execve reports E_NOMEM. */
+struct ImageLoadFault
+{
+};
+
+void
+mustLoad(CapCheck chk)
+{
+    if (chk.has_value())
+        throw ImageLoadFault{};
+}
+
 MappingKind
 kindForSegment(const std::string &name)
 {
@@ -47,7 +59,7 @@ class ProcLinkerEnv : public LinkerEnv
         u64 va = proc.as().map(0, padded, prot, kindForSegment(name),
                                false, false, name);
         if (va == 0)
-            throw std::runtime_error("execve: out of address space");
+            throw ImageLoadFault{};
         Capability c = proc.as().capForRange(va, padded, prot, false);
         if (kern.trace())
             kern.trace()->derive(DeriveSource::Exec, c);
@@ -59,7 +71,7 @@ class ProcLinkerEnv : public LinkerEnv
     void
     storeBytes(u64 va, const void *buf, u64 len) override
     {
-        mustSucceed(proc.mem().write(va, buf, len));
+        mustLoad(proc.mem().write(va, buf, len));
         proc.cost().copyLoop(0xC000000000 + va, va, len);
     }
 
@@ -67,11 +79,11 @@ class ProcLinkerEnv : public LinkerEnv
     storePointer(u64 va, const Capability &cap) override
     {
         if (proc.abi() == Abi::CheriAbi) {
-            mustSucceed(proc.mem().writeCap(va, cap));
+            mustLoad(proc.mem().writeCap(va, cap));
             proc.cost().store(va, capSize);
         } else {
             u64 addr = cap.address();
-            mustSucceed(proc.mem().write(va, &addr, 8));
+            mustLoad(proc.mem().write(va, &addr, 8));
             proc.cost().store(va, 8);
         }
     }
@@ -110,7 +122,7 @@ Kernel::setupStack(Process &proc, const std::vector<std::string> &argv,
     std::vector<u64> arg_addrs, env_addrs;
     auto push_string = [&](const std::string &s) {
         cursor -= s.size() + 1;
-        mustSucceed(proc.mem().write(cursor, s.c_str(), s.size() + 1));
+        mustLoad(proc.mem().write(cursor, s.c_str(), s.size() + 1));
         return cursor;
     };
     for (auto it = envv.rbegin(); it != envv.rend(); ++it)
@@ -135,10 +147,10 @@ Kernel::setupStack(Process &proc, const std::vector<std::string> &argv,
 
     auto write_ptr = [&](u64 va, const Capability &cap) {
         if (cheri) {
-            mustSucceed(proc.mem().writeCap(va, cap));
+            mustLoad(proc.mem().writeCap(va, cap));
         } else {
             u64 a = cap.address();
-            mustSucceed(proc.mem().write(va, &a, 8));
+            mustLoad(proc.mem().write(va, &a, 8));
         }
     };
 
@@ -188,7 +200,7 @@ Kernel::setupStack(Process &proc, const std::vector<std::string> &argv,
     u64 auxv_va = cursor;
     for (size_t i = 0; i < aux.size(); ++i) {
         u64 ent = auxv_va + i * aux_ent_size;
-        mustSucceed(proc.mem().write(ent, &aux[i].tag, 8));
+        mustLoad(proc.mem().write(ent, &aux[i].tag, 8));
         write_ptr(ent + 16, aux[i].val);
     }
 
@@ -234,6 +246,23 @@ Kernel::execve(Process &proc, const SelfObject &program,
     // it before that space is replaced (its proofs are meaningless for
     // the fresh principal).
     abortRevocationEpoch(proc);
+    try {
+        loadImage(proc, program, argv, envv);
+    } catch (const ImageLoadFault &) {
+        // Memory ran out mid-load, after the old image was torn down.
+        failNoMem();
+        return E_NOMEM;
+    } catch (const LinkError &) {
+        return E_NOEXEC;
+    }
+    return E_OK;
+}
+
+void
+Kernel::loadImage(Process &proc, const SelfObject &program,
+                  const std::vector<std::string> &argv,
+                  const std::vector<std::string> &envv)
+{
     // Replace the address space: a fresh abstract principal.
     proc._as = std::make_unique<AddressSpace>(
         phys, swap, newPrincipal(), cfg.capFormat,
@@ -282,7 +311,37 @@ Kernel::execve(Process &proc, const SelfObject &program,
     }
 
     setupStack(proc, argv, envv);
-    return E_OK;
+}
+
+Process *
+Kernel::spawnExec(Abi abi, const SelfObject &program,
+                  const std::vector<std::string> &argv,
+                  const std::vector<std::string> &envv, int *err)
+{
+    Process *proc = spawn(abi, program.name);
+    int rc;
+    try {
+        rc = execve(*proc, program, argv, envv);
+    } catch (const panic::Unwind &) {
+        // As in dispatch(): a drain owns the reset, else absorb it
+        // here.  Either way the reset destroyed @p proc.
+        if (schedIface && schedIface->active())
+            throw;
+        panicReset();
+        if (err)
+            *err = E_FAULT;
+        return nullptr;
+    }
+    if (err)
+        *err = rc;
+    if (rc == E_OK)
+        return proc;
+    // The empty process never ran: retire and reap it on the spot.
+    exitProcess(*proc, 127);
+    if (schedIface)
+        schedIface->onProcessReaped(proc->pid());
+    procs.erase(proc->pid());
+    return nullptr;
 }
 
 } // namespace cheri

@@ -257,11 +257,28 @@ class Kernel final : private panic::Sink, public CounterOwner
      * @p program into it: map segments via the RTLD, build the initial
      * stack with argv/envv/auxv (as bounded capabilities under
      * CheriABI), map the signal trampoline, and install the startup
-     * register file (Figure 1).
+     * register file (Figure 1).  Returns E_NOMEM when memory runs out
+     * (before the old image is touched, or mid-load after it is gone)
+     * and E_NOEXEC when the image cannot be linked.
      */
     int execve(Process &proc, const SelfObject &program,
                const std::vector<std::string> &argv,
                const std::vector<std::string> &envv);
+
+    /**
+     * The one way to boot a guest: spawn() a process named after
+     * @p program, then execve() it.  Returns the process, or null when
+     * the image cannot be loaded — the errno goes to @p err, and the
+     * half-made process is reaped.  A failed load does not throw; a
+     * kernel panic during it is absorbed (null, E_FAULT) unless a
+     * scheduler drain is active, which owns the reset and gets the
+     * panic::Unwind rethrown.  @p program must outlive the process:
+     * its image (LinkedObject::object) points at it.
+     */
+    Process *spawnExec(Abi abi, const SelfObject &program,
+                       const std::vector<std::string> &argv,
+                       const std::vector<std::string> &envv = {},
+                       int *err = nullptr);
 
     /** fork(2): COW address space, shared open files, copied regs. */
     Process *fork(Process &parent);
@@ -723,6 +740,11 @@ class Kernel final : private panic::Sink, public CounterOwner
     void abortRevocationEpoch(Process &proc);
     /// @}
 
+    /** execve past its admission check; throws what execve maps to an
+     *  errno. */
+    void loadImage(Process &proc, const SelfObject &program,
+                   const std::vector<std::string> &argv,
+                   const std::vector<std::string> &envv);
     void setupStack(Process &proc, const std::vector<std::string> &argv,
                     const std::vector<std::string> &envv);
     /** Spill/restore the register file to/from a signal frame on the

@@ -502,6 +502,16 @@ Scheduler::runUntilIdle()
         kern.panicReset();
         running = false;
         return;
+    } catch (...) {
+        // A hosted body threw (a CapTrap or host error it did not
+        // catch itself): retire its context (the next drain frees it)
+        // and go idle before the exception reaches runHosted's caller,
+        // or every later drain on this kernel would be a no-op.
+        if (current)
+            current->state = ExecContext::State::Done;
+        current = nullptr;
+        running = false;
+        throw;
     }
     running = false;
     // Hosted contexts are one-shot: drop the finished ones.

@@ -15,6 +15,7 @@ errnoName(int err)
       case E_NOENT: return "E_NOENT";
       case E_SRCH: return "E_SRCH";
       case E_INTR: return "E_INTR";
+      case E_NOEXEC: return "E_NOEXEC";
       case E_BADF: return "E_BADF";
       case E_CHILD: return "E_CHILD";
       case E_DEADLK: return "E_DEADLK";
@@ -64,7 +65,7 @@ splitPath(const std::string &path)
 Vfs::Vfs() : root(std::make_shared<VNode>())
 {
     root->kind = NodeKind::Directory;
-    root->name = "/";
+    root->name.assign(1, '/');
 }
 
 VNodeRef

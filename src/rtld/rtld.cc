@@ -42,7 +42,7 @@ capForSymbol(const LinkedObject &def, const SelfSymbol &sym, Abi abi)
         return c;
     auto b = c.setBounds(sym.size);
     if (!b.ok())
-        throw std::runtime_error("rtld: symbol bounds not derivable: " +
+        throw LinkError("rtld: symbol bounds not derivable: " +
                                  sym.name);
     auto p = b.value().andPerms(permsData);
     assert(p.ok());
@@ -101,7 +101,7 @@ Rtld::link(const SelfObject &program, LinkerEnv &env) const
                 continue;
             auto it = libs.find(dep);
             if (it == libs.end())
-                throw std::runtime_error("rtld: missing library: " + dep);
+                throw LinkError("rtld: missing library: " + dep);
             order.push_back(it->second);
         }
     }
@@ -115,7 +115,7 @@ Rtld::link(const SelfObject &program, LinkerEnv &env) const
         for (const SelfReloc &rel : lo.object->relocs) {
             auto [def, sym] = findDefinition(image.objects, rel.symbol);
             if (!def) {
-                throw std::runtime_error("rtld: unresolved symbol: " +
+                throw LinkError("rtld: unresolved symbol: " +
                                          rel.symbol);
             }
             Capability cap = capForSymbol(*def, *sym, env.abi());

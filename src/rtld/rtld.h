@@ -27,6 +27,7 @@
 
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,13 @@
 
 namespace cheri
 {
+
+/** The RTLD rejected an image: a missing library, an unresolved symbol
+ *  or a symbol no bounded capability can describe. */
+struct LinkError : std::runtime_error
+{
+    using std::runtime_error::runtime_error;
+};
 
 /** Services the linker needs from the process/kernel it runs in. */
 class LinkerEnv
@@ -132,7 +140,8 @@ class Rtld
     /**
      * Load @p program and its transitive dependencies into the process
      * behind @p env, process all relocations, and return the image.
-     * Throws std::runtime_error on unresolvable symbols or map failure.
+     * Throws LinkError when the image cannot be linked; a failing
+     * LinkerEnv may throw its own errors.
      */
     LinkedImage link(const SelfObject &program, LinkerEnv &env) const;
 

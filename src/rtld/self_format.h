@@ -75,15 +75,28 @@ struct SelfObject
     /** Bytes of (simulated) code. */
     u64 textSize = 0x4000;
     /** Initialized read-only data. */
-    std::vector<u8> rodata;
+    std::vector<u8> rodata{};
     /** Initialized writable data. */
-    std::vector<u8> data;
+    std::vector<u8> data{};
     /** Zero-initialized data appended after `data`. */
     u64 bssSize = 0;
-    std::vector<SelfSymbol> symbols;
-    std::vector<SelfReloc> relocs;
+    std::vector<SelfSymbol> symbols{};
+    std::vector<SelfReloc> relocs{};
     /** Names of shared libraries this object requires. */
-    std::vector<std::string> needed;
+    std::vector<std::string> needed{};
+
+    /** Add @p n data symbols `<prefix>0`, `<prefix>1`, ..., each
+     *  @p size bytes at data offset i * size, with GOT slot i for each. */
+    void
+    addGlobals(const std::string &prefix, int n, u64 size)
+    {
+        for (int i = 0; i < n; ++i) {
+            std::string sym = prefix + std::to_string(i);
+            u64 slot = static_cast<u64>(i);
+            symbols.push_back({sym, slot * size, size, false});
+            relocs.push_back({RelocKind::CapGlobal, slot, 0, sym});
+        }
+    }
 
     /** Number of GOT slots this object needs. */
     u64

@@ -17,8 +17,6 @@ namespace cheri
 namespace
 {
 
-using test::GuestSystem;
-
 class AccessTest : public ::testing::Test
 {
   protected:
@@ -26,6 +24,9 @@ class AccessTest : public ::testing::Test
     SwapDevice swap;
     AddressSpace as{phys, swap, 1};
     MemAccess mem{as};
+    u64 tlb[numTlbCounters] = {};
+
+    AccessTest() { mem.setCounterBlock(tlb); }
 
     u64
     mapAnon(u64 len, u32 prot = PROT_READ | PROT_WRITE)
@@ -57,10 +58,10 @@ TEST_F(AccessTest, HitAfterMissMatchesWalkPath)
     EXPECT_EQ(via_walk, v);
 
     // The second access to the same page must be a hit.
-    u64 misses = mem.stats().dataMisses;
+    u64 misses = tlb[TlbDataMiss];
     ASSERT_FALSE(mem.read(va + 128, &via_tlb, 8).has_value());
-    EXPECT_EQ(mem.stats().dataMisses, misses);
-    EXPECT_GT(mem.stats().dataHits, 0u);
+    EXPECT_EQ(tlb[TlbDataMiss], misses);
+    EXPECT_GT(tlb[TlbDataHit], 0u);
 }
 
 TEST_F(AccessTest, UnmapInvalidatesCachedTranslation)
@@ -243,10 +244,10 @@ TEST_F(AccessTest, FetchUsesTheInstructionTlb)
     ASSERT_NE(text, 0u);
     u64 insn = 0;
     ASSERT_FALSE(mem.fetch(text, &insn, 8).has_value());
-    u64 misses = mem.stats().fetchMisses;
+    u64 misses = tlb[TlbFetchMiss];
     ASSERT_FALSE(mem.fetch(text + 8, &insn, 8).has_value());
-    EXPECT_EQ(mem.stats().fetchMisses, misses);
-    EXPECT_GT(mem.stats().fetchHits, 0u);
+    EXPECT_EQ(tlb[TlbFetchMiss], misses);
+    EXPECT_GT(tlb[TlbFetchHit], 0u);
 }
 
 TEST_F(AccessTest, ReadStringWithinAndAcrossPages)
@@ -382,13 +383,10 @@ TEST_F(AccessTest, RandomizedStressAgainstWalkGroundTruth)
     EXPECT_EQ(got, shadow);
 }
 
-class AccessKernelBothAbis : public ::testing::TestWithParam<Abi>
+class AccessKernelBothAbis : public test::SystemTest<::testing::TestWithParam<Abi>>
 {
   protected:
-    GuestSystem sys{GetParam()};
-    GuestContext &ctx() { return *sys.ctx; }
-    Process &proc() { return *sys.proc; }
-    Kernel &kern() { return sys.kern; }
+    AccessKernelBothAbis() : SystemTest(GetParam()) {}
 };
 
 TEST_P(AccessKernelBothAbis, CopyinstrAcrossPageBoundary)

@@ -166,7 +166,7 @@ TEST(BodiagSuite, SubsetOrdering)
 // AsanRuntime unit behaviour.
 TEST(AsanRuntime, DetectsHeapOverflowAndUseAfterFree)
 {
-    test::GuestSystem sys(Abi::Mips64);
+    test::TestSystem sys(Abi::Mips64);
     AsanRuntime asan(*sys.ctx);
     GuestPtr p = asan.malloc(32);
     asan.store<u8>(p, 31, 1);

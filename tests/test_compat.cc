@@ -34,32 +34,21 @@ class CompatIdiom : public ::testing::TestWithParam<size_t>
 TEST_P(CompatIdiom, BehavesAsTaxonomyPredicts)
 {
     const Idiom &idiom = corpus()[GetParam()];
-    std::vector<IdiomResult> results;
-    IdiomResult r;
-    r.idiom = &idiom;
-    // (Reuse the corpus runner for a single idiom by running all and
-    // picking ours would be wasteful; run the scenarios directly.)
-    auto one = [&](const Scenario &fn, Abi abi) {
-        Kernel kern;
-        SelfObject prog;
-        prog.name = "compat";
-        Process *proc = kern.spawn(abi, "compat");
-        EXPECT_EQ(kern.execve(*proc, prog, {"compat"}, {}), E_OK);
-        GuestContext ctx(kern, *proc);
-        try {
-            return fn(ctx);
-        } catch (const CapTrap &) {
-            return false;
-        }
-    };
-    EXPECT_TRUE(one(idiom.legacy, Abi::Mips64))
+    EXPECT_EQ(runScenario(idiom.legacy, Abi::Mips64), Outcome::Worked)
         << idiom.name << ": legacy form must work on mips64";
-    EXPECT_EQ(one(idiom.legacy, Abi::CheriAbi),
-              !idiom.legacyTrapsUnderCheri)
-        << idiom.name << ": CheriABI behaviour of the legacy form";
-    EXPECT_TRUE(one(idiom.fixed, Abi::CheriAbi))
+    // A legacy form that breaks under CheriABI must trap or be refused;
+    // a failed boot or a host error is a different failure.
+    Outcome cheri = runScenario(idiom.legacy, Abi::CheriAbi);
+    if (idiom.legacyTrapsUnderCheri) {
+        EXPECT_TRUE(cheri == Outcome::Trapped || cheri == Outcome::Refused)
+            << idiom.name << ": legacy form must fail under CheriABI";
+    } else {
+        EXPECT_EQ(cheri, Outcome::Worked)
+            << idiom.name << ": legacy form must keep working";
+    }
+    EXPECT_EQ(runScenario(idiom.fixed, Abi::CheriAbi), Outcome::Worked)
         << idiom.name << ": fixed form must work under CheriABI";
-    EXPECT_TRUE(one(idiom.fixed, Abi::Mips64))
+    EXPECT_EQ(runScenario(idiom.fixed, Abi::Mips64), Outcome::Worked)
         << idiom.name << ": fixed form must stay mips64-compatible";
 }
 
@@ -73,6 +62,24 @@ INSTANTIATE_TEST_SUITE_P(
         }
         return name;
     });
+
+TEST(CompatCorpus, RunScenarioTellsTrapsFromOtherFailures)
+{
+    EXPECT_EQ(runScenario([](GuestContext &) { return true; }, Abi::CheriAbi),
+              Outcome::Worked);
+    EXPECT_EQ(runScenario([](GuestContext &) { return false; }, Abi::CheriAbi),
+              Outcome::Refused);
+    auto overrun = [](GuestContext &ctx) {
+        GuestPtr p = ctx.mmap(pageSize);
+        ctx.load<u8>(p, pageSize);
+        return true;
+    };
+    EXPECT_EQ(runScenario(overrun, Abi::CheriAbi), Outcome::Trapped);
+    auto host_error = [](GuestContext &) -> bool {
+        throw std::runtime_error("not a capability trap");
+    };
+    EXPECT_EQ(runScenario(host_error, Abi::CheriAbi), Outcome::Broken);
+}
 
 TEST(CompatCorpus, TableCoversEveryIdiom)
 {

@@ -15,11 +15,11 @@ namespace cheri
 namespace
 {
 
-using test::GuestSystem;
+using test::TestSystem;
 
 TEST(CoreDump, WrittenOnSignalDeath)
 {
-    GuestSystem sys(Abi::CheriAbi);
+    TestSystem sys(Abi::CheriAbi);
     GuestContext &ctx = *sys.ctx;
     GuestPtr buf = ctx.mmap(pageSize);
     sys.proc->regs().c[5] = buf.cap; // something recognizable
@@ -49,7 +49,7 @@ TEST(CoreDump, WrittenOnSignalDeath)
 
 TEST(CoreDump, RecordsMemoryMap)
 {
-    GuestSystem sys(Abi::CheriAbi);
+    TestSystem sys(Abi::CheriAbi);
     sys.ctx->mmap(3 * pageSize);
     runGuest(*sys.ctx, [](GuestContext &c) {
         c.load<u64>(c.ptrFromInt(0x1)); // immediate fault
@@ -87,7 +87,7 @@ TEST(CoreDump, MalformedFileRejected)
 
 TEST(CoreDump, NormalExitLeavesNoCore)
 {
-    GuestSystem sys(Abi::CheriAbi);
+    TestSystem sys(Abi::CheriAbi);
     runGuest(*sys.ctx, [](GuestContext &) { return 0; });
     EXPECT_EQ(sys.kern.vfs().readdir("/cores").size(), 0u);
 }
@@ -109,7 +109,7 @@ le(const std::vector<u8> &v, u64 off, int n = 8)
 
 TEST(CoreDumpFormatPin, BytesAndRecordLayout)
 {
-    GuestSystem sys(Abi::CheriAbi);
+    TestSystem sys(Abi::CheriAbi);
     GuestPtr buf = sys.ctx->mmap(2 * pageSize);
     sys.proc->regs().c[5] = buf.cap;
     sys.proc->regs().x[7] = 0x1122334455667788ULL;

@@ -22,7 +22,7 @@ namespace cheri
 namespace
 {
 
-using test::GuestSystem;
+using test::TestSystem;
 
 // --- differential corpus -------------------------------------------------
 
@@ -98,7 +98,7 @@ TEST(DiffFuzzOracle, PlantedSlotRefcountBugIsCaughtAndReproducible)
 
 TEST(DiffFuzzOracle, CleanBootedSystemPassesAndRecordsTelemetry)
 {
-    GuestSystem sys(Abi::CheriAbi);
+    TestSystem sys(Abi::CheriAbi);
     obs::Metrics m;
     sys.kern.setMetrics(&m);
     check::Report rep = check::Invariants::check(sys.kern);
@@ -116,7 +116,7 @@ TEST(DiffFuzzOracle, CleanBootedSystemPassesAndRecordsTelemetry)
 
 TEST(DiffFuzzOracle, HandPlantedExtraSlotRefIsReported)
 {
-    GuestSystem sys(Abi::CheriAbi);
+    TestSystem sys(Abi::CheriAbi);
     GuestContext &ctx = *sys.ctx;
     GuestPtr buf = ctx.mmap(pageSize);
     ctx.store<u64>(buf, 0, 1);

@@ -22,13 +22,13 @@ namespace
 using isa::Assembler;
 using isa::InterpResult;
 using isa::Interpreter;
-using test::GuestSystem;
+using test::TestSystem;
 
 class Dispatch : public ::testing::TestWithParam<Abi>
 {
   protected:
     Dispatch() : sys(GetParam()) {}
-    GuestSystem sys;
+    TestSystem sys;
 };
 
 TEST_P(Dispatch, UnknownSyscallNumberFailsClosed)
@@ -211,7 +211,7 @@ TEST(FaultTelemetry, InterpreterAttributesSyscallDerivedCapability)
     // dereferences one byte past the returned capability's bounds.
     // The fault record must carry the capability's provenance:
     // DeriveSource::Syscall (the paper's Figure 5 legend).
-    GuestSystem sys(Abi::CheriAbi);
+    TestSystem sys(Abi::CheriAbi);
     obs::Metrics m;
     sys.kern.setMetrics(&m);
     sys.kern.setTrace(&m); // learn provenance from derive events

@@ -14,15 +14,12 @@ namespace cheri
 namespace
 {
 
-using test::GuestSystem;
+using test::TestSystem;
 
-class EventsCheri : public ::testing::Test
+class EventsCheri : public test::SystemTest<::testing::Test>
 {
   protected:
-    GuestSystem sys{Abi::CheriAbi};
-    GuestContext &ctx() { return *sys.ctx; }
-    Process &proc() { return *sys.proc; }
-    Kernel &kern() { return sys.kern; }
+    EventsCheri() : SystemTest(Abi::CheriAbi) {}
 };
 
 TEST_F(EventsCheri, KeventReturnsUdataCapabilityIntact)
@@ -171,7 +168,7 @@ TEST_F(EventsCheri, PtyEchoPath)
 // Legacy ABI comparison: the under-allocated ioctl goes *undetected*.
 TEST(EventsMips, IoctlUnderallocatedBufferUndetected)
 {
-    GuestSystem sys(Abi::Mips64);
+    TestSystem sys(Abi::Mips64);
     GuestContext &ctx = *sys.ctx;
     auto [master, slave] = Vfs::makePty();
     auto of = std::make_shared<OpenFile>();

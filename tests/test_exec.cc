@@ -15,14 +15,12 @@ namespace cheri
 namespace
 {
 
-using test::GuestSystem;
+using test::TestSystem;
 
-class ExecBothAbis : public ::testing::TestWithParam<Abi>
+class ExecBothAbis : public test::SystemTest<::testing::TestWithParam<Abi>>
 {
   protected:
-    GuestSystem sys{GetParam()};
-    GuestContext &ctx() { return *sys.ctx; }
-    Process &proc() { return *sys.proc; }
+    ExecBothAbis() : SystemTest(GetParam()) {}
 };
 
 TEST_P(ExecBothAbis, CrtFindsArgsThroughAuxv)
@@ -57,12 +55,10 @@ INSTANTIATE_TEST_SUITE_P(Abis, ExecBothAbis,
                                         : "mips64";
                          });
 
-class ExecCheriAbi : public ::testing::Test
+class ExecCheriAbi : public test::SystemTest<::testing::Test>
 {
   protected:
-    GuestSystem sys{Abi::CheriAbi};
-    GuestContext &ctx() { return *sys.ctx; }
-    Process &proc() { return *sys.proc; }
+    ExecCheriAbi() : SystemTest(Abi::CheriAbi) {}
 };
 
 TEST_F(ExecCheriAbi, ArgvStringsAreBoundedCapabilities)
@@ -144,12 +140,35 @@ TEST_F(ExecCheriAbi, ExecveReplacesPrincipal)
 
 TEST_F(ExecCheriAbi, MipsArgvElementsAreEightBytes)
 {
-    GuestSystem legacy(Abi::Mips64);
+    TestSystem legacy(Abi::Mips64);
     CrtEnv env = crtInit(*legacy.ctx);
     // Same logical contents, integer representation.
     EXPECT_EQ(env.argc, 2);
     EXPECT_FALSE(env.argv[0].cap.tag());
     EXPECT_EQ(legacy.ctx->readString(env.argv[0]), "testprog");
+}
+
+TEST_P(ExecBothAbis, BootUnderTooSmallFrameBudgetFailsCleanly)
+{
+    // Sixteen pages of initialized data cannot load into one frame and
+    // one swap slot: the boot reports E_NOMEM instead of handing back
+    // a process with a silently half-written image, and the half-made
+    // process is reaped.
+    KernelConfig cfg;
+    cfg.frameCapacity = 1;
+    cfg.swapSlotBudget = 1;
+    SelfObject big = test::trivialProgram();
+    big.data.assign(16 * pageSize, 0x5a);
+    Kernel kern(cfg);
+    int err = E_OK;
+    Process *p = &proc();
+    ASSERT_NO_THROW(p = kern.spawnExec(GetParam(), big, {"big"}, {}, &err));
+    EXPECT_EQ(p, nullptr);
+    EXPECT_EQ(err, E_NOMEM);
+    EXPECT_EQ(kern.findProcess(1), nullptr);
+    EXPECT_EQ(kern.physMem().liveFrames(), 0u);
+    EXPECT_EQ(kern.memPressure().enomemErrors, 1u);
+    EXPECT_FALSE(GuestSystem(GetParam(), big, {"big"}, {}, cfg));
 }
 
 } // namespace

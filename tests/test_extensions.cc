@@ -16,7 +16,7 @@ namespace cheri
 namespace
 {
 
-using test::GuestSystem;
+using test::TestSystem;
 
 // ---------------------------------------------------------------------
 // Temporal safety / revocation
@@ -25,7 +25,7 @@ using test::GuestSystem;
 class RevokeTest : public ::testing::Test
 {
   protected:
-    GuestSystem sys{Abi::CheriAbi};
+    TestSystem sys{Abi::CheriAbi};
     GuestContext &ctx() { return *sys.ctx; }
     RevokingMalloc heap{*sys.ctx, 1 << 16};
 };
@@ -158,7 +158,7 @@ TEST_F(RevokeTest, InteriorDerivedCapabilityAlsoRevoked)
 class SealingTest : public ::testing::Test
 {
   protected:
-    GuestSystem sys{Abi::CheriAbi};
+    TestSystem sys{Abi::CheriAbi};
     GuestContext &ctx() { return *sys.ctx; }
     GuestMalloc heap{*sys.ctx};
     SealingRuntime sealing{*sys.ctx, 8};
@@ -266,7 +266,7 @@ TEST(CapFormat, Cap256HasExactBoundsAndWiderPointers)
 {
     KernelConfig cfg;
     cfg.capFormat = compress::CapFormat::Cap256;
-    GuestSystem sys(Abi::CheriAbi, cfg);
+    TestSystem sys(Abi::CheriAbi, cfg);
     EXPECT_EQ(sys.ctx->cost().pointerSize(), 32u);
     // No representability padding: odd mmap lengths come back exact.
     UserPtr out;
@@ -281,7 +281,7 @@ TEST(CapFormat, Cap256HasExactBoundsAndWiderPointers)
 
 TEST(CapFormat, Cap128PadsLargeMappings)
 {
-    GuestSystem sys(Abi::CheriAbi); // default Cap128
+    TestSystem sys(Abi::CheriAbi); // default Cap128
     UserPtr out;
     // Large enough that the compression granule exceeds a page.
     u64 want = (u64{1} << 26) + pageSize;
@@ -298,7 +298,7 @@ TEST(CapFormat, Cap256CostsMoreCacheTraffic)
     auto run = [](compress::CapFormat fmt) {
         KernelConfig cfg;
         cfg.capFormat = fmt;
-        GuestSystem sys(Abi::CheriAbi, cfg);
+        TestSystem sys(Abi::CheriAbi, cfg);
         GuestContext &ctx = *sys.ctx;
         GuestMalloc heap(ctx);
         const u64 n = 4096;

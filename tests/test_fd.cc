@@ -39,15 +39,13 @@ namespace cheri
 namespace
 {
 
-using test::GuestSystem;
-
-class FdBothAbis : public ::testing::TestWithParam<Abi>
+using test::admitProgram;
+using test::makeGuest;
+using test::SchedGuest;
+class FdBothAbis : public test::SystemTest<::testing::TestWithParam<Abi>>
 {
   protected:
-    GuestSystem sys{GetParam()};
-    GuestContext &ctx() { return *sys.ctx; }
-    Process &proc() { return *sys.proc; }
-    Kernel &kern() { return sys.kern; }
+    FdBothAbis() : SystemTest(GetParam()) {}
 
     /** pipe(2), returning the two descriptors. */
     std::pair<int, int>
@@ -203,48 +201,6 @@ INSTANTIATE_TEST_SUITE_P(Abis, FdBothAbis,
                          });
 
 // --- Scheduled (interpreted) blocking behavior ---
-
-struct SchedGuest
-{
-    Process *proc = nullptr;
-    u64 code = 0;
-    u64 data = 0;
-};
-
-SchedGuest
-makeGuest(Kernel &kern, Abi abi, const char *name)
-{
-    SelfObject prog;
-    prog.name = name;
-    Process *proc = kern.spawn(abi, name);
-    if (kern.execve(*proc, prog, {name}, {}) != E_OK)
-        throw std::runtime_error("execve failed");
-    u64 code = proc->as().map(0, pageSize,
-                              PROT_READ | PROT_WRITE | PROT_EXEC,
-                              MappingKind::Text);
-    u64 data = proc->as().map(0, pageSize, PROT_READ | PROT_WRITE,
-                              MappingKind::Data);
-    return {proc, code, data};
-}
-
-sched::ExecContext &
-admitProgram(sched::Scheduler &s, SchedGuest &g, isa::Assembler &prog)
-{
-    prog.writeTo(g.proc->as(), g.code);
-    sched::ExecContext &cx = s.context(*g.proc);
-    if (g.proc->abi() == Abi::CheriAbi) {
-        cx.interp->setEntry(g.proc->as()
-                                .capForRange(g.code, pageSize,
-                                             PROT_READ | PROT_EXEC,
-                                             false)
-                                .setAddress(g.code));
-    } else {
-        cx.interp->setEntry(Capability::fromAddress(g.code));
-    }
-    cx.stepLimit = 65536;
-    s.ready(cx);
-    return cx;
-}
 
 /** Point a guest's buffer argument register (x5 for mips64, c5 for
  *  CheriABI) at its own data page. */

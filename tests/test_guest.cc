@@ -14,11 +14,11 @@ namespace cheri
 namespace
 {
 
-using test::GuestSystem;
+using test::TestSystem;
 
 TEST(Guest, CheriOutOfBoundsLoadTraps)
 {
-    GuestSystem sys(Abi::CheriAbi);
+    TestSystem sys(Abi::CheriAbi);
     GuestPtr p = sys.ctx->mmap(pageSize);
     auto narrow = p.cap.setBounds(16);
     GuestPtr q{narrow.value()};
@@ -29,7 +29,7 @@ TEST(Guest, CheriOutOfBoundsLoadTraps)
 
 TEST(Guest, MipsOutOfBoundsLoadSucceedsWithinMappedMemory)
 {
-    GuestSystem sys(Abi::Mips64);
+    TestSystem sys(Abi::Mips64);
     GuestPtr p = sys.ctx->mmap(2 * pageSize);
     // The legacy ABI has no object bounds: a "16-byte buffer" overread
     // silently reads neighbouring memory.
@@ -40,14 +40,14 @@ TEST(Guest, MipsOutOfBoundsLoadSucceedsWithinMappedMemory)
 
 TEST(Guest, MipsUnmappedAccessStillFaults)
 {
-    GuestSystem sys(Abi::Mips64);
+    TestSystem sys(Abi::Mips64);
     GuestPtr wild = sys.ctx->ptrFromInt(0x3333000000);
     EXPECT_THROW(sys.ctx->load<u64>(wild), CapTrap);
 }
 
 TEST(Guest, StoreRequiresStorePermission)
 {
-    GuestSystem sys(Abi::CheriAbi);
+    TestSystem sys(Abi::CheriAbi);
     GuestPtr p = sys.ctx->mmap(pageSize);
     auto ro = p.cap.andPerms(permsRoData);
     GuestPtr q{ro.value()};
@@ -57,7 +57,7 @@ TEST(Guest, StoreRequiresStorePermission)
 
 TEST(Guest, PointerRoundTripThroughMemoryKeepsTag)
 {
-    GuestSystem sys(Abi::CheriAbi);
+    TestSystem sys(Abi::CheriAbi);
     GuestPtr p = sys.ctx->mmap(pageSize);
     sys.ctx->storePtr(p, 0, p);
     GuestPtr q = sys.ctx->loadPtr(p, 0);
@@ -67,7 +67,7 @@ TEST(Guest, PointerRoundTripThroughMemoryKeepsTag)
 
 TEST(Guest, IntegerProvenanceIdiomTrapsOnCheri)
 {
-    GuestSystem sys(Abi::CheriAbi);
+    TestSystem sys(Abi::CheriAbi);
     GuestPtr p = sys.ctx->mmap(pageSize);
     sys.ctx->store<u64>(p, 0, 77);
     // (char *)(long)p — the IP class from Table 2: works on mips64,
@@ -82,7 +82,7 @@ TEST(Guest, IntegerProvenanceIdiomTrapsOnCheri)
 
 TEST(Guest, IntegerProvenanceIdiomWorksOnMips)
 {
-    GuestSystem sys(Abi::Mips64);
+    TestSystem sys(Abi::Mips64);
     GuestPtr p = sys.ctx->mmap(pageSize);
     sys.ctx->store<u64>(p, 0, 77);
     GuestPtr q = sys.ctx->ptrFromInt(p.addr());
@@ -91,7 +91,7 @@ TEST(Guest, IntegerProvenanceIdiomWorksOnMips)
 
 TEST(Guest, StackFrameLocalsAreBounded)
 {
-    GuestSystem sys(Abi::CheriAbi);
+    TestSystem sys(Abi::CheriAbi);
     GuestContext &ctx = *sys.ctx;
     u64 sp_before = sys.proc->regs().stack().address();
     {
@@ -113,7 +113,7 @@ TEST(Guest, StackFrameLocalsAreBounded)
 
 TEST(Guest, StackFrameOnMipsIsUnchecked)
 {
-    GuestSystem sys(Abi::Mips64);
+    TestSystem sys(Abi::Mips64);
     StackFrame frame(*sys.ctx, 256);
     GuestPtr a = frame.alloc(32);
     EXPECT_FALSE(a.cap.tag());
@@ -123,7 +123,7 @@ TEST(Guest, StackFrameOnMipsIsUnchecked)
 
 TEST(Guest, NestedFramesUnwind)
 {
-    GuestSystem sys(Abi::CheriAbi);
+    TestSystem sys(Abi::CheriAbi);
     GuestContext &ctx = *sys.ctx;
     u64 sp0 = sys.proc->regs().stack().address();
     {
@@ -143,7 +143,7 @@ TEST(Guest, NestedFramesUnwind)
 
 TEST(Guest, RunGuestReturnsExitStatus)
 {
-    GuestSystem sys(Abi::CheriAbi);
+    TestSystem sys(Abi::CheriAbi);
     int rc = runGuest(*sys.ctx, [](GuestContext &) { return 42; });
     EXPECT_EQ(rc, 42);
     EXPECT_TRUE(sys.proc->exited());
@@ -152,7 +152,7 @@ TEST(Guest, RunGuestReturnsExitStatus)
 
 TEST(Guest, RunGuestTurnsTrapIntoSigprotDeath)
 {
-    GuestSystem sys(Abi::CheriAbi);
+    TestSystem sys(Abi::CheriAbi);
     int rc = runGuest(*sys.ctx, [](GuestContext &c) {
         GuestPtr p = c.mmap(pageSize);
         auto narrow = p.cap.setBounds(4);
@@ -164,7 +164,7 @@ TEST(Guest, RunGuestTurnsTrapIntoSigprotDeath)
 
 TEST(Guest, CostAccumulatesPerAccess)
 {
-    GuestSystem sys(Abi::CheriAbi);
+    TestSystem sys(Abi::CheriAbi);
     u64 before = sys.proc->cost().instructions();
     GuestPtr p = sys.ctx->mmap(pageSize);
     for (int i = 0; i < 100; ++i)
@@ -174,8 +174,8 @@ TEST(Guest, CostAccumulatesPerAccess)
 
 TEST(Guest, PointerWidthDiffersByAbi)
 {
-    GuestSystem cheri(Abi::CheriAbi);
-    GuestSystem mips(Abi::Mips64);
+    TestSystem cheri(Abi::CheriAbi);
+    TestSystem mips(Abi::Mips64);
     EXPECT_EQ(cheri.ctx->ptrSize(), 16u);
     EXPECT_EQ(mips.ctx->ptrSize(), 8u);
 }

@@ -43,48 +43,9 @@ namespace cheri
 namespace
 {
 
-/** Spawn + execve a process with an RWX code page and a data page. */
-struct SchedGuest
-{
-    Process *proc = nullptr;
-    u64 code = 0;
-    u64 data = 0;
-};
-
-SchedGuest
-makeGuest(Kernel &kern, Abi abi, const char *name)
-{
-    SelfObject prog;
-    prog.name = name;
-    Process *proc = kern.spawn(abi, name);
-    if (kern.execve(*proc, prog, {name}, {}) != E_OK)
-        throw std::runtime_error("execve failed");
-    u64 code = proc->as().map(0, pageSize,
-                              PROT_READ | PROT_WRITE | PROT_EXEC,
-                              MappingKind::Text);
-    u64 data = proc->as().map(0, pageSize, PROT_READ | PROT_WRITE,
-                              MappingKind::Data);
-    return {proc, code, data};
-}
-
-sched::ExecContext &
-admitProgram(sched::Scheduler &s, SchedGuest &g, isa::Assembler &prog)
-{
-    prog.writeTo(g.proc->as(), g.code);
-    sched::ExecContext &cx = s.context(*g.proc);
-    if (g.proc->abi() == Abi::CheriAbi) {
-        cx.interp->setEntry(g.proc->as()
-                                .capForRange(g.code, pageSize,
-                                             PROT_READ | PROT_EXEC,
-                                             false)
-                                .setAddress(g.code));
-    } else {
-        cx.interp->setEntry(Capability::fromAddress(g.code));
-    }
-    cx.stepLimit = 65536;
-    s.ready(cx);
-    return cx;
-}
+using test::admitProgram;
+using test::makeGuest;
+using test::SchedGuest;
 
 /** Point a guest's buffer argument register at its own data page. */
 void
@@ -281,10 +242,9 @@ TEST(HardeningWatchdog, HostWakeableParkDoesNotTrip)
     // scheduler context at all) is alive and could ev_post at any
     // time, so this is a wakeable park, not a deadlock.
     SchedGuest waiter = makeGuest(kern, Abi::Mips64, "ev-waiter");
-    Process *poster = kern.spawn(Abi::Mips64, "host-poster");
-    SelfObject prog;
-    prog.name = "host-poster";
-    ASSERT_EQ(kern.execve(*poster, prog, {"host-poster"}, {}), E_OK);
+    const SelfObject prog{.name = "host-poster"};
+    Process *poster = kern.spawnExec(Abi::Mips64, prog, {"host-poster"});
+    ASSERT_NE(poster, nullptr);
 
     isa::Assembler a;
     a.syscall(static_cast<s64>(SysNum::EvWait)).halt();
@@ -417,7 +377,7 @@ TEST(HardeningCorruption, SwappedTagMetadataFlipMachineChecks)
 TEST(HardeningPanic, KassertCapturesReportImageAndResets)
 {
     obs::Metrics metrics; // must outlive the kernels
-    test::GuestSystem sys(Abi::CheriAbi);
+    test::TestSystem sys(Abi::CheriAbi);
     Kernel &kern = sys.kern;
     kern.setMetrics(&metrics);
     snap::installPanicSnapshotHook(kern);
@@ -452,10 +412,9 @@ TEST(HardeningPanic, KassertCapturesReportImageAndResets)
     // The reset kernel is empty but fully usable: fresh processes
     // spawn, dispatch, and satisfy the whole-system oracle.
     EXPECT_EQ(kern.findProcess(oldPid), nullptr);
-    Process *fresh = kern.spawn(Abi::CheriAbi, "after-panic");
-    ASSERT_NE(fresh, nullptr);
     SelfObject prog = test::trivialProgram();
-    ASSERT_EQ(kern.execve(*fresh, prog, {"after"}, {}), E_OK);
+    Process *fresh = kern.spawnExec(Abi::CheriAbi, prog, {"after"});
+    ASSERT_NE(fresh, nullptr);
     auto pid = sysInvoke(kern, *fresh, SysNum::Getpid, {});
     EXPECT_FALSE(pid.res.failed());
     check::Report rep = check::Invariants::check(kern);
@@ -546,7 +505,7 @@ TEST(HardeningRecorder, RingKeepsLastEventsInOrder)
 {
     KernelConfig cfg;
     cfg.flightRecorderDepth = 8;
-    test::GuestSystem sys(Abi::Mips64, cfg);
+    test::TestSystem sys(Abi::Mips64, cfg);
 
     for (int i = 0; i < 20; ++i)
         sys.ctx->getpid();
@@ -565,7 +524,7 @@ TEST(HardeningRecorder, RingKeepsLastEventsInOrder)
     // Depth 0 degrades to count-only (no storage, no recording cost).
     KernelConfig off;
     off.flightRecorderDepth = 0;
-    test::GuestSystem quiet(Abi::Mips64, off);
+    test::TestSystem quiet(Abi::Mips64, off);
     quiet.ctx->getpid();
     EXPECT_EQ(quiet.kern.flightRecorder().size(), 0u);
     EXPECT_GE(quiet.kern.flightRecorder().eventsRecorded(), 1u);

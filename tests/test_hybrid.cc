@@ -17,15 +17,12 @@ namespace cheri
 namespace
 {
 
-using test::GuestSystem;
+using test::TestSystem;
 
-class HybridTest : public ::testing::Test
+class HybridTest : public test::SystemTest<::testing::Test>
 {
   protected:
-    GuestSystem sys{Abi::Hybrid};
-    GuestContext &ctx() { return *sys.ctx; }
-    Process &proc() { return *sys.proc; }
-    Kernel &kern() { return sys.kern; }
+    HybridTest() : SystemTest(Abi::Hybrid) {}
 };
 
 TEST_F(HybridTest, DdcRetainsAmbientAuthority)
@@ -98,7 +95,7 @@ TEST_F(HybridTest, AnnotationCannotExceedDdc)
 
 TEST_F(HybridTest, CheriAbiHasNoDdcToAnnotateFrom)
 {
-    GuestSystem pure(Abi::CheriAbi);
+    TestSystem pure(Abi::CheriAbi);
     GuestMalloc heap(*pure.ctx);
     GuestPtr p = heap.malloc(32);
     // annotate() is the identity under CheriABI: the pointer already

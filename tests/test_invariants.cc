@@ -25,7 +25,7 @@ namespace cheri
 namespace
 {
 
-using test::GuestSystem;
+using test::TestSystem;
 
 /** printf into a std::string (expected detail text). */
 template <typename... Args>
@@ -61,14 +61,14 @@ onlyViolation(const check::Report &rep)
 
 TEST(InvariantRules, CleanSystemHasNoViolations)
 {
-    GuestSystem sys(Abi::CheriAbi);
+    TestSystem sys(Abi::CheriAbi);
     check::Report rep = check::Invariants::check(sys.kern);
     EXPECT_TRUE(rep.ok()) << rep.toString();
 }
 
 TEST(InvariantRules, OutOfRootCapInMemoryIsContainmentViolation)
 {
-    GuestSystem sys(Abi::CheriAbi);
+    TestSystem sys(Abi::CheriAbi);
     AddressSpace &as = sys.proc->as();
     u64 va = as.map(0, pageSize, PROT_READ | PROT_WRITE, MappingKind::Data);
     ASSERT_NE(va, 0u);
@@ -84,7 +84,7 @@ TEST(InvariantRules, OutOfRootCapInMemoryIsContainmentViolation)
 
 TEST(InvariantRules, OutOfRootCapInRegisterIsContainmentViolation)
 {
-    GuestSystem sys(Abi::CheriAbi);
+    TestSystem sys(Abi::CheriAbi);
     Capability evil = outOfRootCap();
     sys.proc->regs().c[17] = evil;
 
@@ -98,7 +98,7 @@ TEST(InvariantRules, OutOfRootCapInRegisterIsContainmentViolation)
 
 TEST(InvariantRules, OutOfRootCapInSavedThreadContextNamesTheThread)
 {
-    GuestSystem sys(Abi::CheriAbi);
+    TestSystem sys(Abi::CheriAbi);
     SysResult t = sys.kern.sysThrNew(*sys.proc);
     ASSERT_FALSE(t.failed());
     Capability evil = outOfRootCap();
@@ -117,7 +117,7 @@ TEST(InvariantRules, OutOfRootCapInSavedThreadContextNamesTheThread)
 
 TEST(InvariantRules, UnaccountedFrameBreaksLiveCount)
 {
-    GuestSystem sys(Abi::CheriAbi);
+    TestSystem sys(Abi::CheriAbi);
     u64 live = sys.kern.physMem().liveFrames();
     // A frame held outside every page table and SysV segment.
     FrameRef stray = sys.kern.physMem().allocFrame();
@@ -133,7 +133,7 @@ TEST(InvariantRules, UnaccountedFrameBreaksLiveCount)
 
 TEST(InvariantRules, SlotNoPteNamesIsLeaked)
 {
-    GuestSystem sys(Abi::CheriAbi);
+    TestSystem sys(Abi::CheriAbi);
     Frame orphan;
     u64 slot = sys.kern.swapDevice().swapOut(orphan);
     ASSERT_NE(slot, SwapDevice::invalidSlot);
@@ -179,7 +179,7 @@ TEST(InvariantRules, MemoryCapViolationsPrecedePteViolations)
     // LOWER page, the memory-capability rule on the higher one.  The
     // report lists memory-capability violations first regardless of
     // page order.
-    GuestSystem sys(Abi::CheriAbi);
+    TestSystem sys(Abi::CheriAbi);
     AddressSpace &as = sys.proc->as();
     u32 prot = PROT_READ | PROT_WRITE;
     u64 va = as.map(0, 2 * pageSize, prot, MappingKind::Data);

@@ -19,7 +19,7 @@ namespace cheri::isa
 namespace
 {
 
-using test::GuestSystem;
+using test::TestSystem;
 
 TEST(Insn, EncodeDecodeRoundTrip)
 {
@@ -110,7 +110,7 @@ class IsaRun : public ::testing::TestWithParam<Abi>
             .setAddress(data_va);
     }
 
-    GuestSystem sys;
+    TestSystem sys;
     u64 code_va = 0;
     u64 data_va = 0;
 };
@@ -291,7 +291,7 @@ TEST(IsaAbi, LegacyLoadsTrapUnderNullDdc)
 {
     // The architectural core of CheriABI: with DDC = NULL, legacy
     // integer loads/stores cannot execute at all.
-    GuestSystem sys(Abi::CheriAbi);
+    TestSystem sys(Abi::CheriAbi);
     u64 code = sys.proc->as().map(0, pageSize,
                                   PROT_READ | PROT_WRITE | PROT_EXEC,
                                   MappingKind::Text);
@@ -312,7 +312,7 @@ TEST(IsaAbi, LegacyLoadsTrapUnderNullDdc)
 
     // The same program runs fine under mips64, where DDC spans the
     // address space.
-    GuestSystem legacy(Abi::Mips64);
+    TestSystem legacy(Abi::Mips64);
     u64 code2 = legacy.proc->as().map(0, pageSize,
                                       PROT_READ | PROT_WRITE | PROT_EXEC,
                                       MappingKind::Text);
@@ -329,7 +329,7 @@ TEST(IsaAbi, LegacyLoadsTrapUnderNullDdc)
 
 TEST(IsaAbi, PccBoundsConfineControlFlow)
 {
-    GuestSystem sys(Abi::CheriAbi);
+    TestSystem sys(Abi::CheriAbi);
     u64 code = sys.proc->as().map(0, pageSize,
                                   PROT_READ | PROT_WRITE | PROT_EXEC,
                                   MappingKind::Text);
@@ -357,7 +357,7 @@ TEST(IsaAbi, PccBoundsConfineControlFlow)
 
 TEST(IsaAbi, CjrRequiresExecutableCapability)
 {
-    GuestSystem sys(Abi::CheriAbi);
+    TestSystem sys(Abi::CheriAbi);
     u64 code = sys.proc->as().map(0, pageSize,
                                   PROT_READ | PROT_WRITE | PROT_EXEC,
                                   MappingKind::Text);
@@ -383,7 +383,7 @@ TEST(IsaAbi, CjrRequiresExecutableCapability)
 
 TEST(IsaAbi, InterpreterChargesCostModel)
 {
-    GuestSystem sys(Abi::CheriAbi);
+    TestSystem sys(Abi::CheriAbi);
     u64 code = sys.proc->as().map(0, pageSize,
                                   PROT_READ | PROT_WRITE | PROT_EXEC,
                                   MappingKind::Text);
@@ -419,7 +419,7 @@ class IsaFuzz : public ::testing::TestWithParam<unsigned>
 TEST_P(IsaFuzz, RandomProgramsStayContained)
 {
     std::mt19937_64 rng(GetParam());
-    test::GuestSystem sys(Abi::CheriAbi);
+    test::TestSystem sys(Abi::CheriAbi);
     u64 code = sys.proc->as().map(0, pageSize,
                                   PROT_READ | PROT_WRITE | PROT_EXEC,
                                   MappingKind::Text);

@@ -15,15 +15,12 @@ namespace cheri
 namespace
 {
 
-using test::GuestSystem;
+using test::TestSystem;
 
-class KernelBothAbis : public ::testing::TestWithParam<Abi>
+class KernelBothAbis : public test::SystemTest<::testing::TestWithParam<Abi>>
 {
   protected:
-    GuestSystem sys{GetParam()};
-    GuestContext &ctx() { return *sys.ctx; }
-    Process &proc() { return *sys.proc; }
-    Kernel &kern() { return sys.kern; }
+    KernelBothAbis() : SystemTest(GetParam()) {}
 };
 
 TEST_P(KernelBothAbis, SpawnAssignsFreshPrincipals)
@@ -222,13 +219,10 @@ INSTANTIATE_TEST_SUITE_P(Abis, KernelBothAbis,
 
 // --- CheriABI-specific enforcement ---
 
-class KernelCheriAbi : public ::testing::Test
+class KernelCheriAbi : public test::SystemTest<::testing::Test>
 {
   protected:
-    GuestSystem sys{Abi::CheriAbi};
-    GuestContext &ctx() { return *sys.ctx; }
-    Process &proc() { return *sys.proc; }
-    Kernel &kern() { return sys.kern; }
+    KernelCheriAbi() : SystemTest(Abi::CheriAbi) {}
 };
 
 TEST_F(KernelCheriAbi, NonCapabilityCopyinRejected)
@@ -303,7 +297,7 @@ TEST_F(KernelCheriAbi, DdcIsNull)
 
 TEST_F(KernelCheriAbi, LegacyProcessKeepsDdc)
 {
-    GuestSystem legacy(Abi::Mips64);
+    TestSystem legacy(Abi::Mips64);
     EXPECT_TRUE(legacy.proc->ddc().tag());
     EXPECT_GE(legacy.proc->ddc().length(),
               AddressSpace::userTop - AddressSpace::userBase);

@@ -16,12 +16,12 @@ namespace cheri
 namespace
 {
 
-using test::GuestSystem;
+using test::TestSystem;
 
 class LibcCheri : public ::testing::Test
 {
   protected:
-    GuestSystem sys{Abi::CheriAbi};
+    TestSystem sys{Abi::CheriAbi};
     GuestContext &ctx() { return *sys.ctx; }
     GuestMalloc heap{*sys.ctx};
 };
@@ -239,7 +239,7 @@ TEST_F(LibcCheri, MallocStats)
 // mips64 allocator: same logic, integer pointers, no protection.
 TEST(LibcMips, MallocWorksWithoutBounds)
 {
-    GuestSystem sys(Abi::Mips64);
+    TestSystem sys(Abi::Mips64);
     GuestMalloc heap(*sys.ctx);
     GuestPtr p = heap.malloc(64);
     ASSERT_FALSE(p.cap.tag());

@@ -26,7 +26,7 @@ namespace cheri
 namespace
 {
 
-using test::GuestSystem;
+using test::TestSystem;
 
 u64
 envOr(const char *name, u64 dflt)
@@ -35,13 +35,10 @@ envOr(const char *name, u64 dflt)
     return v ? std::strtoull(v, nullptr, 0) : dflt;
 }
 
-class PressureTest : public ::testing::Test
+class PressureTest : public test::SystemTest<::testing::Test>
 {
   protected:
-    GuestSystem sys{Abi::CheriAbi};
-    GuestContext &ctx() { return *sys.ctx; }
-    Process &proc() { return *sys.proc; }
-    Kernel &kern() { return sys.kern; }
+    PressureTest() : SystemTest(Abi::CheriAbi) {}
     FaultInjector &inj() { return sys.kern.faultInjector(); }
 };
 
@@ -65,7 +62,7 @@ TEST_F(PressureTest, MmapFailsEnomemOnInjectedExhaustion)
 
 TEST(PressureBrk, BrkFailsEnomemOnInjectedExhaustion)
 {
-    GuestSystem sys(Abi::Mips64); // sbrk is mips64-only
+    TestSystem sys(Abi::Mips64); // sbrk is mips64-only
     sys.kern.faultInjector().failAfter(FaultPoint::FrameAlloc, 1);
     EXPECT_EQ(sys.kern.sysSbrk(*sys.proc, 4096).error, E_NOMEM);
     EXPECT_EQ(sys.kern.memPressure().enomemErrors, 1u);
@@ -181,8 +178,8 @@ TEST_F(PressureTest, SwapFullOomKillsLargestProcess)
     obs::Metrics m;
     kern().setMetrics(&m);
     // A second, bigger process: the designated victim.
-    Process *big = kern().spawn(Abi::CheriAbi, "big");
-    ASSERT_EQ(kern().execve(*big, sys.prog, {"big"}, {}), E_OK);
+    Process *big = kern().spawnExec(Abi::CheriAbi, sys.prog, {"big"});
+    ASSERT_NE(big, nullptr);
     GuestContext bctx(kern(), *big);
     GuestPtr bbuf = bctx.mmap(24 * pageSize);
     for (u64 p = 0; p < 24; ++p)
@@ -407,7 +404,7 @@ TEST_P(PressureRandom, RandomSwapTrafficKeepsSlotAccounting)
 {
     CHERI_TRACE_SEED(GetParam(), "CHERI_TEST_PRESSURE_SEEDS");
     std::mt19937_64 rng(GetParam());
-    GuestSystem sys(Abi::CheriAbi);
+    TestSystem sys(Abi::CheriAbi);
     GuestContext &ctx = *sys.ctx;
     u64 baseline = sys.kern.swapDevice().usedSlots();
 
@@ -476,7 +473,7 @@ TEST_F(PressureTest, KernelConfigBudgetsAreWired)
     KernelConfig cfg;
     cfg.frameCapacity = 128;
     cfg.swapSlotBudget = 64;
-    GuestSystem limited(Abi::CheriAbi, cfg);
+    TestSystem limited(Abi::CheriAbi, cfg);
     EXPECT_EQ(limited.kern.physMem().frameCapacity(), 128u);
     EXPECT_EQ(limited.kern.swapDevice().slotBudget(), 64u);
 }

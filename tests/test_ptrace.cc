@@ -13,7 +13,7 @@ namespace cheri
 namespace
 {
 
-using test::GuestSystem;
+using test::TestSystem;
 
 class PtraceTest : public ::testing::Test
 {
@@ -26,7 +26,7 @@ class PtraceTest : public ::testing::Test
         EXPECT_EQ(r.error, E_OK);
     }
 
-    GuestSystem sys{Abi::CheriAbi};
+    TestSystem sys{Abi::CheriAbi};
     Process *debugger = nullptr;
     GuestContext &ctx() { return *sys.ctx; }
     Process &target() { return *sys.proc; }

@@ -21,15 +21,12 @@ namespace cheri
 namespace
 {
 
-using test::GuestSystem;
+using test::TestSystem;
 
-class Revoke2Test : public ::testing::Test
+class Revoke2Test : public test::SystemTest<::testing::Test>
 {
   protected:
-    GuestSystem sys{Abi::CheriAbi};
-    Kernel &kern() { return sys.kern; }
-    Process &proc() { return *sys.proc; }
-    GuestContext &ctx() { return *sys.ctx; }
+    Revoke2Test() : SystemTest(Abi::CheriAbi) {}
     RevokingMalloc heap{*sys.ctx, 1 << 16};
 
     /** Cap-store into @p n distinct pages of a fresh mapping so the
@@ -115,7 +112,7 @@ TEST(Revoke2SliceTest, IncrementalRespectsPageBudget)
 {
     KernelConfig cfg;
     cfg.revokeSliceBudget = 2;
-    GuestSystem sys{Abi::CheriAbi, cfg};
+    TestSystem sys{Abi::CheriAbi, cfg};
     GuestContext &ctx = *sys.ctx;
     GuestPtr buf = ctx.mmap(24 * pageSize);
     for (u64 i = 0; i < 24; ++i)
@@ -317,7 +314,7 @@ TEST(Revoke2TlbTest, MidEpochStoreToScannedPageIsRequeued)
 {
     KernelConfig cfg;
     cfg.revokeSliceBudget = 1;
-    GuestSystem sys{Abi::CheriAbi, cfg};
+    TestSystem sys{Abi::CheriAbi, cfg};
     Kernel &kern = sys.kern;
     Process &proc = *sys.proc;
     GuestContext &ctx = *sys.ctx;
@@ -404,7 +401,7 @@ TEST(Revoke2SharedTest, SiblingStoreCaughtAtCloseBarrier)
 {
     KernelConfig cfg;
     cfg.revokeSliceBudget = 1;
-    GuestSystem sys{Abi::CheriAbi, cfg};
+    TestSystem sys{Abi::CheriAbi, cfg};
     Kernel &kern = sys.kern;
     Process &pa = *sys.proc;
     GuestContext &actx = *sys.ctx;
@@ -418,9 +415,9 @@ TEST(Revoke2SharedTest, SiblingStoreCaughtAtCloseBarrier)
                   .error,
               E_OK);
     // A sibling maps the same segment through its own page table.
-    Process *pb = kern.spawn(Abi::CheriAbi, "peer");
     SelfObject prog = test::trivialProgram();
-    ASSERT_EQ(kern.execve(*pb, prog, {"peer"}, {}), E_OK);
+    Process *pb = kern.spawnExec(Abi::CheriAbi, prog, {"peer"});
+    ASSERT_NE(pb, nullptr);
     UserPtr b_ptr;
     ASSERT_EQ(kern
                   .sysShmat(*pb, static_cast<int>(id.value),

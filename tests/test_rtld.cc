@@ -53,22 +53,29 @@ makeProgram()
     return prog;
 }
 
-class RtldTest : public ::testing::TestWithParam<Abi>
+/** libm registered, then the app booted under @p abi. */
+class RtldFixture
 {
   protected:
-    RtldTest() : lib(makeLibm()), prog(makeProgram())
+    explicit RtldFixture(Abi abi)
     {
         kern.rtld().registerLibrary(&lib);
-        proc = kern.spawn(GetParam(), "app");
-        EXPECT_EQ(kern.execve(*proc, prog, {"app"}, {}), E_OK);
-        ctx = std::make_unique<GuestContext>(kern, *proc);
+        EXPECT_TRUE(sys.boot(abi, makeProgram(), {"app"}));
+        proc = sys.proc;
+        ctx = sys.ctx.get();
     }
 
-    Kernel kern;
-    SelfObject lib;
-    SelfObject prog;
+    SelfObject lib = makeLibm();
+    GuestSystem sys;
+    Kernel &kern = sys.kern;
     Process *proc = nullptr;
-    std::unique_ptr<GuestContext> ctx;
+    GuestContext *ctx = nullptr;
+};
+
+class RtldTest : public ::testing::TestWithParam<Abi>, protected RtldFixture
+{
+  protected:
+    RtldTest() : RtldFixture(GetParam()) {}
 };
 
 TEST_P(RtldTest, LoadsDependencies)
@@ -109,22 +116,10 @@ INSTANTIATE_TEST_SUITE_P(Abis, RtldTest,
                                         : "mips64";
                          });
 
-class RtldCheri : public ::testing::Test
+class RtldCheri : public ::testing::Test, protected RtldFixture
 {
   protected:
-    RtldCheri() : lib(makeLibm()), prog(makeProgram())
-    {
-        kern.rtld().registerLibrary(&lib);
-        proc = kern.spawn(Abi::CheriAbi, "app");
-        EXPECT_EQ(kern.execve(*proc, prog, {"app"}, {}), E_OK);
-        ctx = std::make_unique<GuestContext>(kern, *proc);
-    }
-
-    Kernel kern;
-    SelfObject lib;
-    SelfObject prog;
-    Process *proc = nullptr;
-    std::unique_ptr<GuestContext> ctx;
+    RtldCheri() : RtldFixture(Abi::CheriAbi) {}
 };
 
 TEST_F(RtldCheri, GlobalsGetPerVariableBounds)
@@ -191,9 +186,10 @@ TEST_F(RtldCheri, MissingLibraryFails)
     SelfObject broken;
     broken.name = "broken";
     broken.needed = {"libmissing.so"};
-    Process *p = kern.spawn(Abi::CheriAbi, "broken");
-    EXPECT_THROW(kern.execve(*p, broken, {"broken"}, {}),
-                 std::runtime_error);
+    int err = E_OK;
+    EXPECT_EQ(kern.spawnExec(Abi::CheriAbi, broken, {"broken"}, {}, &err),
+              nullptr);
+    EXPECT_EQ(err, E_NOEXEC);
 }
 
 TEST_F(RtldCheri, UnresolvedSymbolFails)
@@ -201,9 +197,10 @@ TEST_F(RtldCheri, UnresolvedSymbolFails)
     SelfObject broken;
     broken.name = "broken2";
     broken.relocs = {{RelocKind::CapGlobal, 0, 0, "undefined_sym"}};
-    Process *p = kern.spawn(Abi::CheriAbi, "broken2");
-    EXPECT_THROW(kern.execve(*p, broken, {"broken2"}, {}),
-                 std::runtime_error);
+    int err = E_OK;
+    EXPECT_EQ(kern.spawnExec(Abi::CheriAbi, broken, {"broken2"}, {}, &err),
+              nullptr);
+    EXPECT_EQ(err, E_NOEXEC);
 }
 
 TEST_F(RtldCheri, RelocationsTracedAsGlobRelocs)
@@ -218,9 +215,8 @@ TEST_F(RtldCheri, RelocationsTracedAsGlobRelocs)
         }
     } rec;
     kern.setTrace(&rec);
-    Process *p = kern.spawn(Abi::CheriAbi, "app2");
     SelfObject prog2 = makeProgram();
-    ASSERT_EQ(kern.execve(*p, prog2, {"app2"}, {}), E_OK);
+    ASSERT_NE(kern.spawnExec(Abi::CheriAbi, prog2, {"app2"}), nullptr);
     kern.setTrace(nullptr);
     EXPECT_EQ(rec.globs, 4u) << "one event per relocation";
 }

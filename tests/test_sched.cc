@@ -35,36 +35,16 @@
 #include "os/kernel.h"
 #include "os/revocation.h"
 #include "os/sched/sched.h"
+#include "test_util.h"
 
 namespace cheri
 {
 namespace
 {
 
-/** Spawn + execve a process of @p abi with a 4-page RWX code mapping
- *  and a data page; returns (proc, codeVa, dataVa). */
-struct SchedGuest
-{
-    Process *proc = nullptr;
-    u64 code = 0;
-    u64 data = 0;
-};
-
-SchedGuest
-makeGuest(Kernel &kern, Abi abi, const char *name)
-{
-    SelfObject prog;
-    prog.name = name;
-    Process *proc = kern.spawn(abi, name);
-    if (kern.execve(*proc, prog, {name}, {}) != E_OK)
-        throw std::runtime_error("execve failed");
-    u64 code = proc->as().map(0, 4 * pageSize,
-                              PROT_READ | PROT_WRITE | PROT_EXEC,
-                              MappingKind::Text);
-    u64 data = proc->as().map(0, pageSize, PROT_READ | PROT_WRITE,
-                              MappingKind::Data);
-    return {proc, code, data};
-}
+using test::admitProgram;
+using test::makeGuest;
+using test::SchedGuest;
 
 /** A pure-ALU loop of @p iters iterations with @p body distinct adds
  *  per iteration. */
@@ -79,25 +59,6 @@ aluLoop(u64 iters, u64 body = 8)
     return a;
 }
 
-/** Admit @p g running @p prog under @p s (entry derivation per ABI). */
-sched::ExecContext &
-admitProgram(sched::Scheduler &s, SchedGuest &g, isa::Assembler &prog)
-{
-    prog.writeTo(g.proc->as(), g.code);
-    sched::ExecContext &cx = s.context(*g.proc);
-    if (g.proc->abi() == Abi::CheriAbi) {
-        cx.interp->setEntry(g.proc->as()
-                                .capForRange(g.code, 4 * pageSize,
-                                             PROT_READ | PROT_EXEC,
-                                             false)
-                                .setAddress(g.code));
-    } else {
-        cx.interp->setEntry(Capability::fromAddress(g.code));
-    }
-    s.ready(cx);
-    return cx;
-}
-
 TEST(SchedTest, RoundRobinPreemptionIsFair)
 {
     KernelConfig cfg;
@@ -108,8 +69,8 @@ TEST(SchedTest, RoundRobinPreemptionIsFair)
     std::vector<u64> pids;
     isa::Assembler prog = aluLoop(200);
     for (int i = 0; i < 3; ++i) {
-        SchedGuest g = makeGuest(kern, Abi::Mips64, "rr-guest");
-        admitProgram(s, g, prog);
+        SchedGuest g = makeGuest(kern, Abi::Mips64, "rr-guest", 4);
+        admitProgram(s, g, prog, 0);
         pids.push_back(g.proc->pid());
     }
 
@@ -160,7 +121,7 @@ TEST(SchedTest, BlockingWait4WakesOncePerChildExit)
     cfg.timeSliceSteps = 64;
     Kernel kern(cfg);
     sched::Scheduler &s = sched::schedulerFor(kern);
-    SchedGuest g = makeGuest(kern, Abi::Mips64, "waiter");
+    SchedGuest g = makeGuest(kern, Abi::Mips64, "waiter", 4);
 
     // fork twice, then reap twice through blocking wait4(0).  The
     // children spin different lengths so their exits stagger; the
@@ -196,7 +157,7 @@ TEST(SchedTest, BlockingWait4WakesOncePerChildExit)
         .move(8, 3) // x8 = second reaped pid
         .halt();
 
-    sched::ExecContext &cx = admitProgram(s, g, a);
+    sched::ExecContext &cx = admitProgram(s, g, a, 0);
     kern.runUntilIdle();
 
     ASSERT_EQ(cx.last.status, isa::InterpResult::Status::Halted);
@@ -226,11 +187,11 @@ TEST(SchedTest, SleepBlocksUntilVirtualDeadline)
     cfg.timeSliceSteps = 32;
     Kernel kern(cfg);
     sched::Scheduler &s = sched::schedulerFor(kern);
-    SchedGuest g = makeGuest(kern, Abi::Mips64, "sleeper");
+    SchedGuest g = makeGuest(kern, Abi::Mips64, "sleeper", 4);
 
     isa::Assembler a;
     a.li(4, 1000).syscall(static_cast<s64>(SysNum::Sleep)).halt();
-    sched::ExecContext &cx = admitProgram(s, g, a);
+    sched::ExecContext &cx = admitProgram(s, g, a, 0);
     kern.runUntilIdle();
 
     EXPECT_EQ(cx.last.status, isa::InterpResult::Status::Halted);
@@ -254,7 +215,7 @@ TEST(SchedTest, CapRegsSurviveSwitchesTagExactAcrossOpenEpoch)
     // Guest A (CheriABI) derives capabilities into its register file,
     // cap-dirties its data page, then spins long enough to be
     // preempted dozens of times.
-    SchedGuest ga = makeGuest(kern, Abi::CheriAbi, "cap-guest");
+    SchedGuest ga = makeGuest(kern, Abi::CheriAbi, "cap-guest", 4);
     isa::Assembler a;
     a.csetboundsimm(2, 1, 64)    // c2 = c1 bounded to 64 bytes
         .cincoffsetimm(3, 2, 16) // c3 = c2 + 16
@@ -264,7 +225,7 @@ TEST(SchedTest, CapRegsSurviveSwitchesTagExactAcrossOpenEpoch)
         .addi(9, 9, -1)
         .bne(9, 0, "spin")
         .halt();
-    sched::ExecContext &ca = admitProgram(s, ga, a);
+    sched::ExecContext &ca = admitProgram(s, ga, a, 0);
     Capability dataCap =
         ga.proc->as()
             .capForRange(ga.data, pageSize, PROT_READ | PROT_WRITE,
@@ -273,9 +234,9 @@ TEST(SchedTest, CapRegsSurviveSwitchesTagExactAcrossOpenEpoch)
     ca.interp->regs().c[1] = dataCap;
 
     // Guest B (mips64) forces context switches every slice.
-    SchedGuest gb = makeGuest(kern, Abi::Mips64, "spin-guest");
+    SchedGuest gb = makeGuest(kern, Abi::Mips64, "spin-guest", 4);
     isa::Assembler b = aluLoop(2000);
-    admitProgram(s, gb, b);
+    admitProgram(s, gb, b, 0);
 
     // The revocation victim: a separate mapping in A, cap-dirtied on
     // enough pages that the incremental epoch (2 pages per pump) stays
@@ -347,12 +308,12 @@ TEST(SchedTest, DecodeCacheSurvivesContextSwitches)
 
     // Two guests on different ABIs, each a 19-instruction loop run 500
     // times: ~9000 retired steps across ~280 slices each.
-    SchedGuest ga = makeGuest(kern, Abi::Mips64, "dc-mips");
-    SchedGuest gb = makeGuest(kern, Abi::CheriAbi, "dc-cheri");
+    SchedGuest ga = makeGuest(kern, Abi::Mips64, "dc-mips", 4);
+    SchedGuest gb = makeGuest(kern, Abi::CheriAbi, "dc-cheri", 4);
     isa::Assembler pa = aluLoop(500, 16);
     isa::Assembler pb = aluLoop(500, 16);
-    sched::ExecContext &ca = admitProgram(s, ga, pa);
-    sched::ExecContext &cb = admitProgram(s, gb, pb);
+    sched::ExecContext &ca = admitProgram(s, ga, pa, 0);
+    sched::ExecContext &cb = admitProgram(s, gb, pb, 0);
     kern.runUntilIdle();
 
     ASSERT_EQ(ca.last.status, isa::InterpResult::Status::Halted);
@@ -366,10 +327,10 @@ TEST(SchedTest, DecodeCacheSurvivesContextSwitches)
     // every slice: ~19 misses x ~280 slices.)
     constexpr u64 kDistinct = 16 + 3; // body + li/addi/bne (+halt)
     for (Process *p : {ga.proc, gb.proc}) {
-        const MemAccess::Stats &st = p->mem().stats();
-        EXPECT_LE(st.fetchMisses, kDistinct + 2)
+        const CostModel &cost = p->cost();
+        EXPECT_LE(cost.itlbMisses(), kDistinct + 2)
             << "decode cache was lost across a context switch";
-        EXPECT_GT(st.fetchHits, 8000u);
+        EXPECT_GT(cost.itlbAccesses() - cost.itlbMisses(), 8000u);
     }
 }
 
@@ -379,8 +340,8 @@ runAluGuests(Kernel &kern, sched::Scheduler &s, int n)
 {
     isa::Assembler prog = aluLoop(200);
     for (int i = 0; i < n; ++i) {
-        SchedGuest g = makeGuest(kern, Abi::Mips64, "mx-guest");
-        admitProgram(s, g, prog);
+        SchedGuest g = makeGuest(kern, Abi::Mips64, "mx-guest", 4);
+        admitProgram(s, g, prog, 0);
     }
     kern.runUntilIdle();
 }
@@ -461,6 +422,30 @@ TEST(SchedTest, KernelMovedBetweenRegistriesIsCountedOnce)
     EXPECT_EQ(schedField(second.toJson(), "steps_executed"),
               atEnd.stepsExecuted);
     EXPECT_EQ(schedField(second.toJson(), "slices"), atEnd.slices);
+}
+
+TEST(SchedTest, HostedBodyThatThrowsLeavesTheSchedulerUsable)
+{
+    // An exception a hosted body lets escape reaches runHosted's caller
+    // with the scheduler idle again: the hosted context is retired and
+    // later drains still run work.
+    Kernel kern;
+    sched::Scheduler &s = sched::schedulerFor(kern);
+    SchedGuest g = makeGuest(kern, Abi::Mips64, "after-throw", 4);
+    EXPECT_THROW(s.runHosted(*g.proc,
+                             [] { throw std::runtime_error("body"); }),
+                 std::runtime_error);
+    EXPECT_FALSE(s.active());
+    // A nested hosted body sees a scheduler that is draining again.
+    bool nested = false;
+    s.runHosted(*g.proc, [&] { nested = s.active(); });
+    EXPECT_TRUE(nested);
+
+    isa::Assembler prog = aluLoop(10);
+    sched::ExecContext &cx = admitProgram(s, g, prog, 0);
+    kern.runUntilIdle();
+    EXPECT_EQ(cx.last.status, isa::InterpResult::Status::Halted);
+    EXPECT_GT(cx.retired(), 0u);
 }
 
 } // namespace

@@ -14,15 +14,10 @@ namespace cheri
 namespace
 {
 
-using test::GuestSystem;
-
-class SignalBothAbis : public ::testing::TestWithParam<Abi>
+class SignalBothAbis : public test::SystemTest<::testing::TestWithParam<Abi>>
 {
   protected:
-    GuestSystem sys{GetParam()};
-    GuestContext &ctx() { return *sys.ctx; }
-    Process &proc() { return *sys.proc; }
-    Kernel &kern() { return sys.kern; }
+    SignalBothAbis() : SystemTest(GetParam()) {}
 };
 
 TEST_P(SignalBothAbis, HandlerRunsOnDelivery)
@@ -117,13 +112,10 @@ INSTANTIATE_TEST_SUITE_P(Abis, SignalBothAbis,
                                         : "mips64";
                          });
 
-class SignalCheri : public ::testing::Test
+class SignalCheri : public test::SystemTest<::testing::Test>
 {
   protected:
-    GuestSystem sys{Abi::CheriAbi};
-    GuestContext &ctx() { return *sys.ctx; }
-    Process &proc() { return *sys.proc; }
-    Kernel &kern() { return sys.kern; }
+    SignalCheri() : SystemTest(Abi::CheriAbi) {}
 };
 
 TEST_F(SignalCheri, FrameHoldsTaggedCapabilities)

@@ -37,7 +37,10 @@ namespace cheri
 namespace
 {
 
-using test::GuestSystem;
+using test::admitProgram;
+using test::makeGuest;
+using test::SchedGuest;
+using test::TestSystem;
 
 /** Restored state must satisfy every invariant the live kernel does. */
 void
@@ -53,15 +56,13 @@ expectOracleClean(Kernel &kern)
 void
 expectUsable(Kernel &kern)
 {
-    Process *p = kern.spawn(Abi::CheriAbi, "probe");
-    ASSERT_NE(p, nullptr);
     SelfObject prog = test::trivialProgram();
-    EXPECT_EQ(kern.execve(*p, prog, {"probe"}, {}), E_OK);
+    EXPECT_NE(kern.spawnExec(Abi::CheriAbi, prog, {"probe"}), nullptr);
 }
 
 TEST(SnapshotTest, RoundTripIsByteStableAndPassesOracle)
 {
-    GuestSystem sys{Abi::CheriAbi};
+    TestSystem sys{Abi::CheriAbi};
     // Give the image something to carry: touched anon pages, a second
     // process via fork, and a swapped-out page.
     GuestPtr buf = sys.ctx->mmap(4 * pageSize);
@@ -101,7 +102,7 @@ TEST(SnapshotTest, RoundTripIsByteStableAndPassesOracle)
 
 TEST(SnapshotTest, CapabilityRegisterFileRestoredTagExact)
 {
-    GuestSystem sys{Abi::CheriAbi};
+    TestSystem sys{Abi::CheriAbi};
     GuestPtr buf = sys.ctx->mmap(pageSize);
     ThreadRegs &regs = sys.proc->regs();
     // A live tagged capability with real bounds ...
@@ -145,7 +146,7 @@ TEST(SnapshotTest, CapabilityRegisterFileRestoredTagExact)
 
 TEST(SnapshotTest, RestoreMidOpenRevocationEpochThenDrain)
 {
-    GuestSystem sys{Abi::CheriAbi};
+    TestSystem sys{Abi::CheriAbi};
     // 16 cap-dirty pages: more worklist than one incremental slice's
     // page budget, so the epoch stays open after the opening call.
     // Plain data stores don't count — only capability stores set the
@@ -187,7 +188,7 @@ TEST(SnapshotTest, RestoreMidOpenRevocationEpochThenDrain)
 
 TEST(SnapshotTest, SwappedPagesAndForkSharedSlotsSurviveRestore)
 {
-    GuestSystem sys{Abi::Mips64};
+    TestSystem sys{Abi::Mips64};
     GuestPtr buf = sys.ctx->mmap(3 * pageSize);
     for (u64 pg = 0; pg < 3; ++pg)
         sys.ctx->store<u64>(buf, pg * pageSize, 0xbeef00 + pg);
@@ -224,7 +225,7 @@ TEST(SnapshotTest, SwappedPagesAndForkSharedSlotsSurviveRestore)
 
 TEST(SnapshotTest, TruncatedImageRejectedCleanly)
 {
-    GuestSystem sys{Abi::CheriAbi};
+    TestSystem sys{Abi::CheriAbi};
     GuestPtr buf = sys.ctx->mmap(2 * pageSize);
     sys.ctx->store<u64>(buf, 0, 42);
     std::string err;
@@ -263,7 +264,7 @@ TEST(SnapshotTest, TruncatedImageRejectedCleanly)
 
 TEST(SnapshotTest, CorruptImageNeverAbortsHost)
 {
-    GuestSystem sys{Abi::Mips64};
+    TestSystem sys{Abi::Mips64};
     GuestPtr buf = sys.ctx->mmap(2 * pageSize);
     sys.ctx->store<u64>(buf, 0, 42);
     std::string err;
@@ -320,7 +321,7 @@ restoreUnderBudget(const std::vector<u8> &honest,
 
 TEST(SnapshotDeathTest, ForgedVnodeCountRefusedWithinAMemoryBudget)
 {
-    GuestSystem sys{Abi::CheriAbi};
+    TestSystem sys{Abi::CheriAbi};
     // A 1 MiB file: its bytes follow the vnode count in the image.
     VNodeRef big = sys.kern.vfs().createFile("/tmp/big");
     ASSERT_NE(big, nullptr);
@@ -373,40 +374,6 @@ TEST(SnapshotDeathTest, ForgedVnodeCountRefusedWithinAMemoryBudget)
 }
 
 // --- Scheduled guests across restore ---
-
-struct SchedGuest
-{
-    Process *proc = nullptr;
-    u64 code = 0;
-    u64 data = 0;
-};
-
-SchedGuest
-makeGuest(Kernel &kern, Abi abi, const char *name)
-{
-    SelfObject prog;
-    prog.name = name;
-    Process *proc = kern.spawn(abi, name);
-    if (kern.execve(*proc, prog, {name}, {}) != E_OK)
-        throw std::runtime_error("execve failed");
-    u64 code = proc->as().map(0, pageSize,
-                              PROT_READ | PROT_WRITE | PROT_EXEC,
-                              MappingKind::Text);
-    u64 data = proc->as().map(0, pageSize, PROT_READ | PROT_WRITE,
-                              MappingKind::Data);
-    return {proc, code, data};
-}
-
-sched::ExecContext &
-admitProgram(sched::Scheduler &s, SchedGuest &g, isa::Assembler &prog)
-{
-    prog.writeTo(g.proc->as(), g.code);
-    sched::ExecContext &cx = s.context(*g.proc);
-    cx.interp->setEntry(Capability::fromAddress(g.code));
-    cx.stepLimit = 65536;
-    s.ready(cx);
-    return cx;
-}
 
 std::pair<int, int>
 sharePipe(SchedGuest &a, SchedGuest &b,
@@ -544,7 +511,7 @@ TEST(SnapshotSchedTest, SelectDeadlineAcrossRestoreFiresExactlyOnce)
 TEST(SnapshotTest, MetricsSnapshotSectionInV9Schema)
 {
     obs::Metrics mx;
-    GuestSystem sys{Abi::CheriAbi};
+    TestSystem sys{Abi::CheriAbi};
     sys.kern.setMetrics(&mx);
     std::string err;
     std::vector<u8> img = snap::save(sys.kern, &err);
@@ -606,7 +573,7 @@ fnv1a(const std::vector<u8> &v)
 std::vector<u8>
 pinnedGuestImage()
 {
-    GuestSystem sys{Abi::CheriAbi};
+    TestSystem sys{Abi::CheriAbi};
     GuestPtr buf = sys.ctx->mmap(2 * pageSize);
     sys.ctx->store<u64>(buf, 0, 0x1111);
     sys.ctx->store<u64>(buf, pageSize, 0x2222);

@@ -20,7 +20,7 @@ namespace cheri
 namespace
 {
 
-using test::GuestSystem;
+using test::TestSystem;
 
 // ---------------------------------------------------------------------
 // VM stress vs a byte-level reference model
@@ -162,7 +162,7 @@ TEST_P(MallocStress, RandomLifecyclesKeepContentsAndBounds)
 {
     CHERI_TRACE_SEED(GetParam(), "CHERI_TEST_STRESS_SEEDS");
     std::mt19937_64 rng(GetParam());
-    GuestSystem sys(Abi::CheriAbi);
+    TestSystem sys(Abi::CheriAbi);
     GuestContext &ctx = *sys.ctx;
     GuestMalloc heap(ctx);
 
@@ -259,7 +259,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Interactions, ForkedChildSurvivesParentSwapAndSignals)
 {
-    GuestSystem sys(Abi::CheriAbi);
+    TestSystem sys(Abi::CheriAbi);
     GuestContext &ctx = *sys.ctx;
     GuestMalloc heap(ctx);
     // Parent builds a pointer-laced structure.
@@ -294,7 +294,7 @@ TEST(Interactions, ForkedChildSurvivesParentSwapAndSignals)
 
 TEST(Interactions, SwapStormPreservesWholeHeapGraph)
 {
-    GuestSystem sys(Abi::CheriAbi);
+    TestSystem sys(Abi::CheriAbi);
     GuestContext &ctx = *sys.ctx;
     GuestMalloc heap(ctx);
     // A 512-node linked structure with payloads.
@@ -323,7 +323,7 @@ TEST(Interactions, SwapStormPreservesWholeHeapGraph)
 
 TEST(Interactions, SignalStormDuringPointerWork)
 {
-    GuestSystem sys(Abi::CheriAbi);
+    TestSystem sys(Abi::CheriAbi);
     GuestContext &ctx = *sys.ctx;
     GuestMalloc heap(ctx);
     GuestPtr buf = heap.malloc(64);
@@ -359,7 +359,7 @@ namespace
 
 TEST(Containment, HeavyWorkloadNeverEscapesPrincipalRoot)
 {
-    test::GuestSystem sys(Abi::CheriAbi);
+    test::TestSystem sys(Abi::CheriAbi);
     GuestContext &ctx = *sys.ctx;
     GuestMalloc heap(ctx);
     // Build a dense, pointer-laced heap, churn it, swap some of it.
@@ -412,7 +412,7 @@ TEST(Aslr, SeedsChangeLayoutButNotResults)
     auto layout = [](u64 seed) {
         KernelConfig cfg;
         cfg.aslrSeed = seed;
-        test::GuestSystem sys(Abi::CheriAbi, cfg);
+        test::TestSystem sys(Abi::CheriAbi, cfg);
         GuestContext ctx(sys.kern, *sys.proc);
         GuestMalloc heap(ctx);
         GuestPtr a = heap.malloc(64);

@@ -16,19 +16,16 @@ namespace cheri
 namespace
 {
 
-using test::GuestSystem;
+using test::TestSystem;
 
 // ---------------------------------------------------------------------
 // Threads
 // ---------------------------------------------------------------------
 
-class ThreadTest : public ::testing::TestWithParam<Abi>
+class ThreadTest : public test::SystemTest<::testing::TestWithParam<Abi>>
 {
   protected:
-    GuestSystem sys{GetParam()};
-    GuestContext &ctx() { return *sys.ctx; }
-    Process &proc() { return *sys.proc; }
-    Kernel &kern() { return sys.kern; }
+    ThreadTest() : SystemTest(GetParam()) {}
 };
 
 TEST_P(ThreadTest, CreateAndSwitch)
@@ -125,7 +122,7 @@ INSTANTIATE_TEST_SUITE_P(Abis, ThreadTest,
 
 TEST(ThreadCheri, StacksAreMutuallyInaccessible)
 {
-    GuestSystem sys(Abi::CheriAbi);
+    TestSystem sys(Abi::CheriAbi);
     Kernel &kern = sys.kern;
     Process &proc = *sys.proc;
     GuestContext &ctx = *sys.ctx;
@@ -147,7 +144,7 @@ TEST(ThreadCheri, StacksAreMutuallyInaccessible)
 
 TEST(ThreadCheri, PerThreadTlsBlocks)
 {
-    GuestSystem sys(Abi::CheriAbi);
+    TestSystem sys(Abi::CheriAbi);
     GuestContext &ctx = *sys.ctx;
     // One TLS instance per thread, as the runtime would keep.
     GuestTls tls_main(ctx), tls_other(ctx);
@@ -164,12 +161,10 @@ TEST(ThreadCheri, PerThreadTlsBlocks)
 // File-backed mmap
 // ---------------------------------------------------------------------
 
-class MmapFdTest : public ::testing::Test
+class MmapFdTest : public test::SystemTest<::testing::Test>
 {
   protected:
-    GuestSystem sys{Abi::CheriAbi};
-    GuestContext &ctx() { return *sys.ctx; }
-    Kernel &kern() { return sys.kern; }
+    MmapFdTest() : SystemTest(Abi::CheriAbi) {}
 
     s64
     makeFile(const std::string &path, u64 bytes)

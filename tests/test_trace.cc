@@ -43,13 +43,13 @@ TEST(TraceAnalysis, CdfCountsBySizeAndSource)
 TEST(TraceAnalysis, RecorderCapturesSystemActivity)
 {
     CapTraceRecorder rec;
-    KernelConfig cfg;
-    Kernel kern(cfg);
+    GuestSystem sys;
+    Kernel &kern = sys.kern;
     kern.setTrace(&rec);
-    SelfObject prog = test::trivialProgram();
-    Process *proc = kern.spawn(Abi::CheriAbi, "traced");
-    ASSERT_EQ(kern.execve(*proc, prog, {"traced", "x"}, {"E=1"}), E_OK);
-    GuestContext ctx(kern, *proc);
+    ASSERT_TRUE(sys.boot(Abi::CheriAbi, test::trivialProgram(),
+                         {"traced", "x"}, {"E=1"}));
+    Process *proc = sys.proc;
+    GuestContext &ctx = *sys.ctx;
     GuestMalloc heap(ctx);
     GuestTls tls(ctx);
     // Generate activity from each source.
@@ -94,8 +94,8 @@ TEST(TraceAnalysis, GlobRelocCapsBoundedToSymbols)
     Kernel kern;
     kern.setTrace(&rec);
     SelfObject prog = test::trivialProgram();
-    Process *proc = kern.spawn(Abi::CheriAbi, "traced");
-    ASSERT_EQ(kern.execve(*proc, prog, {"traced"}, {}), E_OK);
+    Process *proc = kern.spawnExec(Abi::CheriAbi, prog, {"traced"});
+    ASSERT_NE(proc, nullptr);
     kern.setTrace(nullptr);
     // global_counter (8 bytes) and global_buf (32 bytes) both get
     // per-variable bounds; the function reloc spans the text object.

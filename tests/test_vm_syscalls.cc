@@ -13,15 +13,12 @@ namespace cheri
 namespace
 {
 
-using test::GuestSystem;
+using test::TestSystem;
 
-class VmCheri : public ::testing::Test
+class VmCheri : public test::SystemTest<::testing::Test>
 {
   protected:
-    GuestSystem sys{Abi::CheriAbi};
-    GuestContext &ctx() { return *sys.ctx; }
-    Process &proc() { return *sys.proc; }
-    Kernel &kern() { return sys.kern; }
+    VmCheri() : SystemTest(Abi::CheriAbi) {}
 };
 
 TEST_F(VmCheri, MmapReturnsBoundedVmmapCapability)
@@ -160,9 +157,9 @@ TEST_F(VmCheri, ShmatReturnsCapabilitySharedAcrossProcesses)
     EXPECT_TRUE(a_ptr.cap.tag());
     EXPECT_EQ(a_ptr.cap.length(), 2 * pageSize);
 
-    Process *other = kern().spawn(Abi::CheriAbi, "peer");
     SelfObject prog = test::trivialProgram();
-    ASSERT_EQ(kern().execve(*other, prog, {"peer"}, {}), E_OK);
+    Process *other = kern().spawnExec(Abi::CheriAbi, prog, {"peer"});
+    ASSERT_NE(other, nullptr);
     UserPtr b_ptr;
     ASSERT_EQ(kern().sysShmat(*other, static_cast<int>(id.value),
                               UserPtr::null(), &b_ptr)
@@ -225,7 +222,7 @@ TEST_F(VmCheri, MmapTraceReportsSyscallSource)
 // Legacy semantics: no capability checks on management calls.
 TEST(VmMips, MunmapByAddressWorks)
 {
-    GuestSystem sys(Abi::Mips64);
+    TestSystem sys(Abi::Mips64);
     GuestPtr p = sys.ctx->mmap(pageSize);
     EXPECT_FALSE(p.cap.tag());
     EXPECT_EQ(sys.kern.sysMunmap(*sys.proc, UserPtr::fromAddr(p.addr()),

@@ -8,8 +8,9 @@ set -euo pipefail
 src_dir="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${CHERI_VERIFY_BUILD_DIR:-$src_dir/build-verify}"
 
-# Raw-assert lint: kernel, memory, machine-model, checking and
-# observability code must fail through the structured panic path
+# Raw-assert lint: kernel, memory, machine-model, checking,
+# observability and BOdiagsuite code must fail through the structured
+# panic path
 # (CHERI_KASSERT -> flight-recorder capture + snapshot + transactional
 # reset), never through a host abort; benches, tools and examples
 # report a failure on stderr and exit non-zero.  The panic sink's own
@@ -17,13 +18,15 @@ build_dir="${CHERI_VERIFY_BUILD_DIR:-$src_dir/build-verify}"
 # the only legitimate exceptions.
 if grep -rnE '(^|[^_[:alnum:]])(assert|abort)\(' \
         "$src_dir/src/os" "$src_dir/src/mem" "$src_dir/src/machine" \
-        "$src_dir/src/check" "$src_dir/src/obs" "$src_dir/bench" \
+        "$src_dir/src/check" "$src_dir/src/obs" "$src_dir/src/bodiag" \
+        "$src_dir/bench" \
         "$src_dir/tools" "$src_dir/examples" \
         --include='*.cc' --include='*.cpp' --include='*.h' \
     | grep -v 'CHERI_KASSERT' | grep -v 'static_assert' \
     | grep -v 'src/os/panic\.h'; then
     echo "cheri_verify: raw assert()/abort() in src/os, src/mem," \
-         "src/machine, src/check, src/obs, bench, tools or examples" \
+         "src/machine, src/check, src/obs, src/bodiag, bench, tools" \
+         "or examples" \
          "(use CHERI_KASSERT, or report and exit non-zero)" >&2
     exit 1
 fi
@@ -90,10 +93,13 @@ CHERI_TEST_FRAME_BUDGET=48 CHERI_TEST_SLOT_BUDGET=128 \
 # bound, the deadlock watchdog's idle-drain scan over 32 blocked
 # wakeable contexts under 1ms), so they run from a Release build of
 # that one target; the sanitizer build only runs it, where the watchdog
-# must still never trip on a host-wakeable park.
+# must still never trip on a host-wakeable park.  The Release build is
+# -Werror too: GCC's Release-only diagnostics (-Wrestrict and friends)
+# stay gated.
 "$build_dir/bench/hardening_bench" --json
 release_dir="$build_dir-release"
-cmake -S "$src_dir" -B "$release_dir" -DCMAKE_BUILD_TYPE=Release
+cmake -S "$src_dir" -B "$release_dir" -DCMAKE_BUILD_TYPE=Release \
+    -DCHERI_WERROR=ON
 cmake --build "$release_dir" -j "$(nproc)" --target hardening_bench
 "$release_dir/bench/hardening_bench" --json --check
 # Snapshot fidelity gate: fails unless every re-save of a populated
