@@ -1,15 +1,16 @@
 /**
  * @file
- * Shared helpers for the reproduction benches: table formatting,
- * paper-reference printing, host timing, and the one result report
- * every measurement bench prints through.
+ * Shared helpers for the reproduction benches: setup failure, host
+ * timing, and the one result report every bench prints through.
  */
 
 #ifndef CHERI_BENCH_BENCH_UTIL_H
 #define CHERI_BENCH_BENCH_UTIL_H
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
@@ -23,23 +24,11 @@
 namespace cheri::bench
 {
 
-inline void
-banner(const std::string &title)
-{
-    std::printf("\n============================================================"
-                "====\n%s\n============================================="
-                "===============\n",
-                title.c_str());
-}
-
-inline void
-note(const std::string &text)
-{
-    std::printf("%s\n", text.c_str());
-}
-
 /** A bench that cannot set up its workload (a failed boot, map or
- *  store) says why on stderr and exits 1 instead of aborting. */
+ *  store) says why on stderr and exits 1 instead of aborting.  The app
+ *  drivers (apps::runWorkload, runInitdb, ...) throw on a failed boot;
+ *  the benches that call them catch that in a function-try-block on
+ *  main and end here. */
 [[noreturn]] inline void
 setupFailed(const char *bench, const std::string &what)
 {
@@ -212,9 +201,24 @@ class Report
         Enforce enforce;
     };
 
+    /** Doubles go out in their shortest round-trip form, not
+     *  JsonWriter's 4 significant digits, so a committed report keeps
+     *  small host-time deltas.  JSON has no NaN or infinity: null. */
+    static void
+    put(obs::JsonWriter &w, double d)
+    {
+        char buf[32];
+        auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), d);
+        w.raw(std::isfinite(d) && ec == std::errc()
+                  ? std::string_view(buf, static_cast<size_t>(end - buf))
+                  : "null");
+    }
+
     static void
     put(obs::JsonWriter &w, const Value &v)
     {
+        if (const double *d = std::get_if<double>(&v))
+            return put(w, *d);
         std::visit([&](const auto &x) { w.value(x); }, v);
     }
 
@@ -268,8 +272,8 @@ class Report
         for (const Gate &g : gates) {
             w.beginObject();
             w.key("name").value(std::string_view(g.name));
-            w.key("value").value(g.value);
-            w.key("bound").value(g.bound);
+            put(w.key("value"), g.value);
+            put(w.key("bound"), g.bound);
             w.key("pass").value(g.pass);
             w.endObject();
         }
@@ -283,24 +287,36 @@ class Report
     void
     printHuman() const
     {
-        banner(heading);
+        std::string rule(64, '=');
+        std::printf("%s\n%s\n%s\n", rule.c_str(), heading.c_str(),
+                    rule.c_str());
         for (const Table &t : tables) {
             std::printf("\n%s\n", t.title.c_str());
-            std::vector<size_t> width;
+            // Text columns are left-aligned, numbers right-aligned; a
+            // negative width is printf's left alignment.
+            std::vector<int> width;
             for (const std::string &c : t.columns)
-                width.push_back(c.size());
+                width.push_back(static_cast<int>(c.size()));
             for (const std::vector<Value> &r : t.rows) {
                 for (size_t c = 0; c < width.size() && c < r.size(); ++c)
-                    width[c] = std::max(width[c], text(r[c]).size());
+                    width[c] = std::max(
+                        width[c], static_cast<int>(text(r[c]).size()));
             }
+            if (!t.rows.empty()) {
+                for (size_t c = 0; c < width.size(); ++c) {
+                    if (c < t.rows[0].size() &&
+                        std::holds_alternative<std::string>(t.rows[0][c]))
+                        width[c] = -width[c];
+                }
+            }
+            if (!width.empty() && width.back() < 0)
+                width.back() = 0; // no trailing blanks
             for (size_t c = 0; c < width.size(); ++c)
-                std::printf("%*s", static_cast<int>(width[c] + 2),
-                            t.columns[c].c_str());
+                std::printf("  %*s", width[c], t.columns[c].c_str());
             std::printf("\n");
             for (const std::vector<Value> &r : t.rows) {
                 for (size_t c = 0; c < width.size() && c < r.size(); ++c)
-                    std::printf("%*s", static_cast<int>(width[c] + 2),
-                                text(r[c]).c_str());
+                    std::printf("  %*s", width[c], text(r[c]).c_str());
                 std::printf("\n");
             }
         }

@@ -31,12 +31,14 @@ runWith(const Workload &w, Abi abi, compress::CapFormat fmt)
 } // namespace
 
 int
-main()
-{
-    bench::banner("Ablation: capability format (cycle overhead vs "
-                  "mips64)");
-    std::printf("%-24s %12s %12s\n", "benchmark", "cheri-128",
-                "cheri-256");
+main(int argc, char **argv)
+try {
+    bench::Report rep("capformat_ablation",
+                      "Ablation: 128-bit compressed vs 256-bit capabilities",
+                      argc, argv);
+    bench::Report::Table &t =
+        rep.table("cycle_overhead", "Cycle overhead vs mips64, %",
+                  {"benchmark", "cheri128_pct", "cheri256_pct"});
     for (const Workload &w : figure4Workloads()) {
         if (w.name != "network-patricia" && w.name != "auto-qsort" &&
             w.name != "spec2006-xalancbmk" && w.name != "spec2006-astar" &&
@@ -49,29 +51,26 @@ main()
             runWith(w, Abi::CheriAbi, compress::CapFormat::Cap128);
         WorkloadResult c256 =
             runWith(w, Abi::CheriAbi, compress::CapFormat::Cap256);
-        std::printf("%-24s %+11.1f%% %+11.1f%%\n", w.name.c_str(),
-                    overheadPct(mips.cycles, c128.cycles),
-                    overheadPct(mips.cycles, c256.cycles));
+        t.row({w.name, overheadPct(mips.cycles, c128.cycles),
+               overheadPct(mips.cycles, c256.cycles)});
     }
 
-    bench::banner("The compressed format's price: allocation padding");
-    std::printf("%-18s %16s %16s\n", "request", "cap128 bounds",
-                "cap256 bounds");
+    bench::Report::Table &pad = rep.table(
+        "padding", "The compressed format's price: allocation padding",
+        {"request", "cap128_bounds", "cap256_bounds"});
     for (u64 want :
          {u64{100}, u64{1} << 14, (u64{1} << 20) + 7,
           (u64{1} << 26) + 4096}) {
         auto bounds = [&](compress::CapFormat fmt) {
             return compress::representableLength(want, fmt);
         };
-        std::printf("%-18lu %16lu %16lu\n",
-                    static_cast<unsigned long>(want),
-                    static_cast<unsigned long>(
-                        bounds(compress::CapFormat::Cap128)),
-                    static_cast<unsigned long>(
-                        bounds(compress::CapFormat::Cap256)));
+        pad.row({want, bounds(compress::CapFormat::Cap128),
+                 bounds(compress::CapFormat::Cap256)});
     }
-    bench::note("\nShape: 256-bit capabilities give exact bounds but "
-                "double pointer\nfootprint again — the pointer-dense "
-                "workloads pay visibly more.");
-    return 0;
+    rep.note("Shape: 256-bit capabilities give exact bounds but double "
+             "pointer\nfootprint again — the pointer-dense workloads pay "
+             "visibly more.");
+    return rep.finish();
+} catch (const std::exception &e) {
+    bench::setupFailed("capformat_ablation", e.what());
 }

@@ -17,36 +17,35 @@ using namespace cheri;
 using namespace cheri::apps;
 
 int
-main()
-{
-    bench::banner("Ablation: CLC immediate width (initdb)");
+main(int argc, char **argv)
+try {
+    bench::Report rep("clc_ablation",
+                      "Ablation: CLC immediate width (initdb)", argc, argv);
     InitdbResult mips = runInitdb(Abi::Mips64);
     InitdbResult small_imm =
         runInitdb(Abi::CheriAbi, {.largeClcImmediate = false});
     InitdbResult large_imm =
         runInitdb(Abi::CheriAbi, {.largeClcImmediate = true});
 
-    std::printf("%-26s %14s %14s %12s\n", "configuration", "cycles",
-                "instructions", "code-bytes");
-    auto print = [](const char *name, const InitdbResult &r) {
-        std::printf("%-26s %14lu %14lu %12lu\n", name,
-                    static_cast<unsigned long>(r.cycles),
-                    static_cast<unsigned long>(r.instructions),
-                    static_cast<unsigned long>(r.codeBytes));
+    bench::Report::Table &t = rep.table(
+        "configurations",
+        "Per run (cycle overhead vs mips64 in %, with the paper's)",
+        {"configuration", "cycles", "instructions", "code_bytes",
+         "overhead_pct", "paper_overhead_pct"});
+    auto row = [&](const char *name, const InitdbResult &r, double paper) {
+        t.row({std::string(name), r.cycles, r.instructions, r.codeBytes,
+               overheadPct(mips.cycles, r.cycles), paper});
     };
-    print("mips64 baseline", mips);
-    print("cheriabi, small CLC imm", small_imm);
-    print("cheriabi, large CLC imm", large_imm);
+    row("mips64 baseline", mips, 0.0);
+    row("cheriabi, small CLC imm", small_imm, 11.0);
+    row("cheriabi, large CLC imm", large_imm, 6.8);
 
-    double small_pct = overheadPct(mips.cycles, small_imm.cycles);
-    double large_pct = overheadPct(mips.cycles, large_imm.cycles);
-    double code_delta = overheadPct(small_imm.codeBytes,
-                                    large_imm.codeBytes);
-    std::printf("\ninitdb overhead: %.1f%% -> %.1f%%   "
-                "(paper: 11%% -> 6.8%%)\n",
-                small_pct, large_pct);
-    std::printf("dynamic code footprint change: %+.1f%%   "
-                "(paper: >10%% static code-size reduction)\n",
-                code_delta);
-    return 0;
+    rep.metric("code_bytes_change_pct",
+               "code footprint change, % (paper: < -10)",
+               overheadPct(small_imm.codeBytes, large_imm.codeBytes));
+    rep.note("The footprint here is dynamically fetched code bytes; the "
+             "paper's is\nstatic binary size.");
+    return rep.finish();
+} catch (const std::exception &e) {
+    bench::setupFailed("clc_ablation", e.what());
 }

@@ -12,33 +12,32 @@ using namespace cheri;
 using namespace cheri::apps;
 
 int
-main()
-{
-    bench::banner("initdb macro-benchmark");
+main(int argc, char **argv)
+try {
+    bench::Report rep("initdb_macro", "initdb macro-benchmark", argc, argv);
     InitdbResult mips = runInitdb(Abi::Mips64);
     InitdbResult cheri = runInitdb(Abi::CheriAbi);
     InitdbResult asan = runInitdb(Abi::Mips64, {}, true);
 
-    std::printf("%-18s %14s %14s %10s\n", "configuration",
-                "instructions", "cycles", "l2-misses");
-    auto print = [](const char *name, const InitdbResult &r) {
-        std::printf("%-18s %14lu %14lu %10lu\n", name,
-                    static_cast<unsigned long>(r.instructions),
-                    static_cast<unsigned long>(r.cycles),
-                    static_cast<unsigned long>(r.l2Misses));
+    bench::Report::Table &t = rep.table(
+        "configurations", "Per run (cycle ratio to mips64, with the paper's)",
+        {"configuration", "instructions", "cycles", "l2_misses",
+         "cycle_ratio", "paper_cycle_ratio"});
+    auto row = [&](const char *name, const InitdbResult &r, double paper) {
+        t.row({std::string(name), r.instructions, r.cycles, r.l2Misses,
+               static_cast<double>(r.cycles) /
+                   static_cast<double>(mips.cycles),
+               paper});
     };
-    print("mips64", mips);
-    print("cheriabi", cheri);
-    print("mips64+asan", asan);
+    row("mips64", mips, 1.0);
+    row("cheriabi", cheri, 1.068);
+    row("mips64+asan", asan, 3.29);
 
-    std::printf("\ncheriabi overhead:   %+6.1f%% cycles   (paper: +6.8%%)\n",
-                overheadPct(mips.cycles, cheri.cycles));
-    std::printf("asan ratio:          %6.2fx cycles   (paper: 3.29x)\n",
-                static_cast<double>(asan.cycles) /
-                    static_cast<double>(mips.cycles));
-    std::printf("\nwork done per run: %lu files created, %lu catalog "
-                "rows,\nshared-memory buffer pool + TLS backend state\n",
-                static_cast<unsigned long>(mips.filesCreated),
-                static_cast<unsigned long>(mips.catalogRows));
-    return 0;
+    rep.metric("files_created", "files created per run", mips.filesCreated);
+    rep.metric("catalog_rows", "catalog rows per run", mips.catalogRows);
+    rep.note("Work done per run: the files and catalog rows above, a "
+             "shared-memory\nbuffer pool and TLS backend state.");
+    return rep.finish();
+} catch (const std::exception &e) {
+    bench::setupFailed("initdb_macro", e.what());
 }

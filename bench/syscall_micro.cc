@@ -15,6 +15,7 @@
  * report embeds that registry under "registry".
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 
@@ -177,6 +178,7 @@ main(int argc, char **argv)
     bench::Report::Table &t =
         rep.table("syscalls", "Simulated cycles per call",
                   {"syscall", "mips64", "cheriabi", "delta_pct"});
+    std::vector<std::pair<double, std::string>> deltas;
     for (const MicroBench &mb : benches) {
         u64 m = measure(mb, Abi::Mips64, iters, &metrics);
         u64 c = measure(mb, Abi::CheriAbi, iters, &metrics);
@@ -184,7 +186,13 @@ main(int argc, char **argv)
                              static_cast<double>(m) * 100.0
                        : 0.0;
         t.row({mb.name, m, c, pct});
+        // sigtramp is not among the paper's measured calls.
+        if (mb.name != "sigtramp")
+            deltas.emplace_back(pct, mb.name);
     }
+    std::sort(deltas.begin(), deltas.end());
+    rep.require("fork_largest_delta", deltas.back().second == "fork");
+    rep.require("select_smallest_delta", deltas.front().second == "select");
     rep.note("Paper (section 5.2): from +3.4% (fork, worst case) to -9.8% "
              "(select,\nbest case: four pointer arguments the legacy "
              "kernel must wrap in\ncapabilities).");

@@ -3,8 +3,8 @@
  * Table 1 reproduction: test-suite results under mips64 and CheriABI.
  *
  * Runs the FreeBSD-base, PostgreSQL-pg_regress, and libc++ analogue
- * suites under both ABIs and prints the pass/fail/skip matrix next to
- * the paper's reported values.
+ * suites under both ABIs and reports the pass/fail/skip matrix beside
+ * the paper's values, plus the CheriABI pg_regress failure causes.
  */
 
 #include "apps/minidb.h"
@@ -14,65 +14,51 @@
 using namespace cheri;
 using namespace cheri::apps;
 
-namespace
-{
-
-void
-row(const char *name, int pass, int fail, int skip)
-{
-    std::printf("%-22s %6d %6d %6d %6d\n", name, pass, fail, skip,
-                pass + fail + skip);
-}
-
-} // namespace
-
 int
-main()
-{
-    bench::banner("Table 1: Test suite results (measured)");
-    std::printf("%-22s %6s %6s %6s %6s\n", "", "Pass", "Fail", "Skip",
-                "Total");
-
-    SuiteTotals fb_mips = runFreebsdSuite(Abi::Mips64);
-    SuiteTotals fb_cheri = runFreebsdSuite(Abi::CheriAbi);
-    row("FreeBSD MIPS", fb_mips.pass, fb_mips.fail, fb_mips.skip);
-    row("FreeBSD CheriABI", fb_cheri.pass, fb_cheri.fail, fb_cheri.skip);
-
-    RegressTotals pg_mips = runPgRegress(Abi::Mips64);
-    RegressTotals pg_cheri = runPgRegress(Abi::CheriAbi);
-    row("PostgreSQL MIPS", pg_mips.pass, pg_mips.fail, pg_mips.skip);
-    row("PostgreSQL CheriABI", pg_cheri.pass, pg_cheri.fail,
-        pg_cheri.skip);
-
-    SuiteTotals cxx_mips = runLibcxxSuite(Abi::Mips64);
-    SuiteTotals cxx_cheri = runLibcxxSuite(Abi::CheriAbi);
-    row("libc++ MIPS", cxx_mips.pass, cxx_mips.fail, cxx_mips.skip);
-    row("libc++ CheriABI", cxx_cheri.pass, cxx_cheri.fail,
-        cxx_cheri.skip);
-
-    bench::banner("Table 1 (paper, for reference)");
-    std::printf("%-22s %6s %6s %6s %6s\n", "", "Pass", "Fail", "Skip",
-                "Total");
-    row("FreeBSD MIPS", 3501, 90, 244);
-    row("FreeBSD CheriABI", 3301, 122, 246);
-    row("PostgreSQL MIPS", 167, 0, 0);
-    row("PostgreSQL CheriABI", 150, 16, 1);
-    row("libc++ MIPS", 5338, 29, 789);
-    row("libc++ CheriABI", 5333, 34, 789);
-
-    bench::note("\nCheriABI failure causes (pg_regress):");
+main(int argc, char **argv)
+try {
+    bench::Report rep("table1_testsuites", "Table 1: test suite results",
+                      argc, argv);
+    bench::Report::Table &t =
+        rep.table("suites", "Pass/fail/skip per suite and ABI (with the "
+                            "paper's)",
+                  {"suite", "abi", "pass", "fail", "skip", "total",
+                   "paper_pass", "paper_fail", "paper_skip"});
+    struct Paper
+    {
+        u64 pass, fail, skip;
+    };
+    auto row = [&](const char *suite, const char *abi, const auto &got,
+                   Paper paper) {
+        t.row({std::string(suite), std::string(abi),
+               static_cast<u64>(got.pass), static_cast<u64>(got.fail),
+               static_cast<u64>(got.skip), static_cast<u64>(got.total()),
+               paper.pass, paper.fail, paper.skip});
+    };
     std::vector<RegressCase> cases;
-    runPgRegress(Abi::CheriAbi, &cases);
-    int shown = 0;
+    row("FreeBSD", "mips64", runFreebsdSuite(Abi::Mips64), {3501, 90, 244});
+    row("FreeBSD", "cheriabi", runFreebsdSuite(Abi::CheriAbi),
+        {3301, 122, 246});
+    row("PostgreSQL", "mips64", runPgRegress(Abi::Mips64), {167, 0, 0});
+    row("PostgreSQL", "cheriabi", runPgRegress(Abi::CheriAbi, &cases),
+        {150, 16, 1});
+    row("libc++", "mips64", runLibcxxSuite(Abi::Mips64), {5338, 29, 789});
+    row("libc++", "cheriabi", runLibcxxSuite(Abi::CheriAbi),
+        {5333, 34, 789});
+
+    bench::Report::Table &causes =
+        rep.table("pg_regress_cheriabi_failures",
+                  "CheriABI failure causes (pg_regress)",
+                  {"test", "outcome", "detail"});
     for (const RegressCase &c : cases) {
-        if (c.outcome == RegressCase::Outcome::Pass)
-            continue;
-        std::printf("  %-28s %s %s\n", c.name.c_str(),
-                    c.outcome == RegressCase::Outcome::Fail ? "FAIL"
-                                                            : "SKIP",
-                    c.detail.c_str());
-        if (++shown >= 20)
-            break;
+        if (c.outcome != RegressCase::Outcome::Pass)
+            causes.row({c.name,
+                        std::string(c.outcome == RegressCase::Outcome::Fail
+                                        ? "fail"
+                                        : "skip"),
+                        c.detail});
     }
-    return 0;
+    return rep.finish();
+} catch (const std::exception &e) {
+    bench::setupFailed("table1_testsuites", e.what());
 }

@@ -13,48 +13,57 @@ using namespace cheri;
 using namespace cheri::compat;
 
 int
-main()
+main(int argc, char **argv)
 {
-    bench::banner("Table 2: compatibility-change corpus (measured)");
+    bench::Report rep("table2_compat",
+                      "Table 2: compatibility-change corpus", argc, argv);
     auto results = runCorpus();
-    unsigned consistent = 0;
-    for (const IdiomResult &r : results)
-        consistent += r.consistent();
-    CompatTable table = tabulate(results);
-    std::printf("%s", formatTable(table).c_str());
-    std::printf("\ncorpus: %zu idioms, %u behaved exactly as the "
-                "taxonomy predicts\n",
-                results.size(), consistent);
+    CompatTable counts = tabulate(results);
+    // The paper's Table 2: change counts in the FreeBSD tree, indexed
+    // [Component][CompatClass].
+    constexpr unsigned paperCounts[numComponents][numCompatClasses] = {
+        {0, 8, 0, 4, 2, 1, 1, 0, 3, 2, 0},
+        {5, 18, 4, 19, 22, 20, 11, 6, 19, 42, 19},
+        {1, 11, 1, 3, 13, 0, 0, 0, 7, 11, 2},
+        {0, 0, 0, 0, 2, 0, 0, 0, 2, 7, 2},
+    };
 
-    bench::banner("Per-idiom evidence");
-    std::printf("%-38s %-14s %5s %11s %11s %11s\n", "idiom", "component",
-                "class", "legacy/mips", "legacy/cheri", "fixed/cheri");
-    for (const IdiomResult &r : results) {
-        std::printf("%-38s %-14s %5s %11s %11s %11s\n",
-                    r.idiom->name.c_str(),
-                    componentName(r.idiom->component),
-                    compatClassName(r.idiom->cls),
-                    r.legacyOkMips ? "ok" : "BROKEN",
-                    r.legacyOkCheri ? "ok" : "traps",
-                    r.fixedOkCheri ? "ok" : "BROKEN");
+    bench::Report::Table &t = rep.table(
+        "classes", "Idioms per class and component (with the paper's "
+                   "change counts)",
+        {"class", "headers", "paper_headers", "libraries",
+         "paper_libraries", "programs", "paper_programs", "tests",
+         "paper_tests"});
+    for (unsigned cls = 0; cls < numCompatClasses; ++cls) {
+        std::vector<bench::Report::Value> row = {
+            std::string(compatClassName(static_cast<CompatClass>(cls)))};
+        for (unsigned comp = 0; comp < numComponents; ++comp) {
+            row.emplace_back(u64{counts[static_cast<Component>(comp)]
+                                       [static_cast<CompatClass>(cls)]});
+            row.emplace_back(u64{paperCounts[comp][cls]});
+        }
+        t.row(std::move(row));
     }
 
-    bench::banner("Table 2 (paper, for reference: change counts in the "
-                  "FreeBSD tree)");
-    std::printf("%-16s%4s%4s%4s%4s%4s%4s%4s%4s%4s%4s%4s\n", "", "PP",
-                "IP", "M", "PS", "I", "VA", "BF", "H", "A", "CC", "U");
-    std::printf("%-16s%4d%4d%4d%4d%4d%4d%4d%4d%4d%4d%4d\n",
-                "BSD headers", 0, 8, 0, 4, 2, 1, 1, 0, 3, 2, 0);
-    std::printf("%-16s%4d%4d%4d%4d%4d%4d%4d%4d%4d%4d%4d\n",
-                "BSD libraries", 5, 18, 4, 19, 22, 20, 11, 6, 19, 42,
-                19);
-    std::printf("%-16s%4d%4d%4d%4d%4d%4d%4d%4d%4d%4d%4d\n",
-                "BSD programs", 1, 11, 1, 3, 13, 0, 0, 0, 7, 11, 2);
-    std::printf("%-16s%4d%4d%4d%4d%4d%4d%4d%4d%4d%4d%4d\n", "BSD tests",
-                0, 0, 0, 0, 2, 0, 0, 0, 2, 7, 2);
-    bench::note("\n(The corpus demonstrates each class with runnable "
-                "code; the paper's\ncounts are source-tree change "
-                "totals, so only the distribution shape\nis "
-                "comparable: libraries dominate, every class occurs.)");
-    return 0;
+    bench::Report::Table &evidence = rep.table(
+        "idioms", "Per-idiom evidence",
+        {"idiom", "component", "class", "legacy_ok_mips64",
+         "legacy_ok_cheriabi", "fixed_ok_cheriabi", "as_predicted"});
+    u64 consistent = 0;
+    for (const IdiomResult &r : results) {
+        consistent += r.consistent();
+        evidence.row({r.idiom->name,
+                      std::string(componentName(r.idiom->component)),
+                      std::string(compatClassName(r.idiom->cls)),
+                      r.legacyOkMips, r.legacyOkCheri, r.fixedOkCheri,
+                      r.consistent()});
+    }
+    rep.metric("idioms", "idioms in the corpus", u64{results.size()});
+    rep.metric("as_predicted", "idioms behaving as the taxonomy predicts",
+               consistent);
+    rep.note("The corpus demonstrates each class with runnable code; the "
+             "paper's\ncounts are source-tree change totals, so only the "
+             "distribution shape\nis comparable: libraries dominate, every "
+             "class occurs.");
+    return rep.finish();
 }

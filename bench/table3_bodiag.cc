@@ -3,7 +3,7 @@
  * Table 3 reproduction: BOdiagsuite detection results.
  *
  * Runs all 291 overflow cases at the three magnitudes under the three
- * protection regimes and prints the detection matrix next to the
+ * protection regimes and reports the detection matrix beside the
  * paper's values, plus the real-bug gallery (section 5.4 bug classes).
  */
 
@@ -14,29 +14,47 @@ using namespace cheri;
 using namespace cheri::bodiag;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::Report rep("table3_bodiag", "Table 3: BOdiagsuite detections",
+                      argc, argv);
     auto suite = generateSuite();
-    bench::banner("Table 3: BOdiagsuite detections (measured, " +
-                  std::to_string(suite.size()) + " cases)");
-    std::printf("%-10s %6s %6s %6s %12s\n", "", "min", "med", "large",
-                "ok-failures");
-    for (Mode mode : {Mode::Mips64, Mode::CheriAbi, Mode::Asan}) {
-        ModeSummary s = runAll(suite, mode);
-        std::printf("%-10s %6lu %6lu %6lu %12lu\n", modeName(mode),
-                    static_cast<unsigned long>(s.min),
-                    static_cast<unsigned long>(s.med),
-                    static_cast<unsigned long>(s.large),
-                    static_cast<unsigned long>(s.okFailures));
+    const u64 cases = suite.size();
+    rep.metric("cases", "overflow cases", cases);
+
+    bench::Report::Table &t = rep.table(
+        "detections", "Detections per magnitude (with the paper's)",
+        {"regime", "min", "med", "large", "ok_failures", "paper_min",
+         "paper_med", "paper_large"});
+    struct Regime
+    {
+        Mode mode;
+        u64 min, med, large; // the paper's
+    };
+    const Regime regimes[] = {
+        {Mode::Mips64, 4, 8, 175},
+        {Mode::CheriAbi, 279, 289, 291},
+        {Mode::Asan, 276, 286, 286},
+    };
+    u64 okFailures = 0;
+    for (const Regime &g : regimes) {
+        ModeSummary s = runAll(suite, g.mode);
+        t.row({std::string(modeName(g.mode)), s.min, s.med, s.large,
+               s.okFailures, g.min, g.med, g.large});
+        okFailures += s.okFailures;
+        bool asPaper = s.min == g.min && s.med == g.med && s.large == g.large;
+        if (g.mode == Mode::Mips64)
+            rep.atMost("mips64_min_pct", 100.0 * s.min / cases, 5.0);
+        if (g.mode == Mode::CheriAbi) {
+            rep.require("cheriabi_as_paper", asPaper);
+            rep.atLeast("cheriabi_large", s.large, cases);
+        }
+        if (g.mode == Mode::Asan)
+            rep.require("asan_as_paper", asPaper);
     }
+    // An overflow reported on a correct access is a wrong result.
+    rep.atMost("ok_failures", okFailures, 0, bench::Report::Enforce::Always);
 
-    bench::banner("Table 3 (paper, for reference)");
-    std::printf("%-10s %6s %6s %6s\n", "", "min", "med", "large");
-    std::printf("%-10s %6d %6d %6d\n", "mips64", 4, 8, 175);
-    std::printf("%-10s %6d %6d %6d\n", "cheriabi", 279, 289, 291);
-    std::printf("%-10s %6d %6d %6d\n", "asan", 276, 286, 286);
-
-    bench::banner("Real-bug gallery (paper section 5.4 bug classes)");
     struct GalleryEntry
     {
         const char *bug;
@@ -64,14 +82,21 @@ main()
           64},
          Magnitude::Min},
     };
-    std::printf("%-44s %10s %10s %10s\n", "bug", "mips64", "cheriabi",
-                "asan");
+    bench::Report::Table &bugs =
+        rep.table("gallery", "Real-bug gallery (paper section 5.4 bug "
+                             "classes): caught?",
+                  {"bug", "mips64", "cheriabi", "asan"});
+    bool mipsCatchesNone = true;
+    bool cheriCatchesAll = true;
     for (const GalleryEntry &g : gallery) {
-        auto outcome = [&](Mode m) {
-            return runCase(g.c, g.mag, m).detected ? "CAUGHT" : "silent";
-        };
-        std::printf("%-44s %10s %10s %10s\n", g.bug, outcome(Mode::Mips64),
-                    outcome(Mode::CheriAbi), outcome(Mode::Asan));
+        auto caught = [&](Mode m) { return runCase(g.c, g.mag, m).detected; };
+        bool mips = caught(Mode::Mips64);
+        bool cheri = caught(Mode::CheriAbi);
+        bugs.row({std::string(g.bug), mips, cheri, caught(Mode::Asan)});
+        mipsCatchesNone &= !mips;
+        cheriCatchesAll &= cheri;
     }
-    return 0;
+    rep.require("gallery_cheriabi_catches_all", cheriCatchesAll);
+    rep.require("gallery_mips64_catches_none", mipsCatchesNone);
+    return rep.finish();
 }

@@ -1,6 +1,5 @@
 #include "compat/idioms.h"
 
-#include <iomanip>
 #include <sstream>
 
 #include "libc/cstring.h"
@@ -1075,43 +1074,6 @@ tabulate(const std::vector<IdiomResult> &results)
     for (const IdiomResult &r : results)
         ++table[r.idiom->component][r.idiom->cls];
     return table;
-}
-
-std::string
-formatTable(const CompatTable &table)
-{
-    static const CompatClass cols[] = {
-        CompatClass::PP, CompatClass::IP, CompatClass::M,
-        CompatClass::PS, CompatClass::I,  CompatClass::VA,
-        CompatClass::BF, CompatClass::H,  CompatClass::A,
-        CompatClass::CC, CompatClass::U,
-    };
-    static const Component rows[] = {
-        Component::Headers,
-        Component::Libraries,
-        Component::Programs,
-        Component::Tests,
-    };
-    std::ostringstream os;
-    os << std::left << std::setw(16) << "";
-    for (CompatClass c : cols)
-        os << std::right << std::setw(4) << compatClassName(c);
-    os << "\n";
-    for (Component row : rows) {
-        os << std::left << std::setw(16) << componentName(row);
-        auto it = table.find(row);
-        for (CompatClass c : cols) {
-            unsigned n = 0;
-            if (it != table.end()) {
-                auto jt = it->second.find(c);
-                if (jt != it->second.end())
-                    n = jt->second;
-            }
-            os << std::right << std::setw(4) << n;
-        }
-        os << "\n";
-    }
-    return os.str();
 }
 
 } // namespace cheri::compat

@@ -117,9 +117,6 @@ std::vector<IdiomResult> runCorpus();
 using CompatTable = std::map<Component, std::map<CompatClass, unsigned>>;
 CompatTable tabulate(const std::vector<IdiomResult> &results);
 
-/** Render the table like the paper's Table 2. */
-std::string formatTable(const CompatTable &table);
-
 } // namespace cheri::compat
 
 #endif // CHERI_COMPAT_IDIOMS_H

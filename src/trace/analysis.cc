@@ -84,22 +84,16 @@ GranularityCdf::fractionBelow(u64 size) const
 std::string
 GranularityCdf::formatTable() const
 {
-    static const DeriveSource order[] = {
-        DeriveSource::Stack,   DeriveSource::Malloc,
-        DeriveSource::Exec,    DeriveSource::GlobRelocs,
-        DeriveSource::Syscall, DeriveSource::Kern,
-        DeriveSource::Tls,
-    };
     std::ostringstream os;
     os << std::setw(10) << "size<=";
     os << std::setw(10) << "all";
-    for (DeriveSource s : order)
+    for (DeriveSource s : sources)
         os << std::setw(12) << deriveSourceName(s);
     os << "\n";
-    for (unsigned shift = minShift; shift <= maxShift; shift += 2) {
+    for (unsigned shift = minShift; shift <= maxShift; shift += shiftStep) {
         os << std::setw(8) << "2^" + std::to_string(shift);
         os << std::setw(12) << cumulativeAll(shift);
-        for (DeriveSource s : order)
+        for (DeriveSource s : sources)
             os << std::setw(12) << cumulative(s, shift);
         os << "\n";
     }

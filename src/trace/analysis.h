@@ -55,6 +55,13 @@ class GranularityCdf
     /** Size buckets: powers of two from 2^2 to 2^maxShift. */
     static constexpr unsigned minShift = 2;
     static constexpr unsigned maxShift = 26;
+    /** Figure 5's rows step this many powers of two; its columns list
+     *  these sources, in this order. */
+    static constexpr unsigned shiftStep = 2;
+    static constexpr std::array<DeriveSource, 7> sources = {
+        DeriveSource::Stack, DeriveSource::Malloc, DeriveSource::Exec,
+        DeriveSource::GlobRelocs, DeriveSource::Syscall, DeriveSource::Kern,
+        DeriveSource::Tls};
 
     explicit GranularityCdf(const std::vector<CapTraceRecorder::Event> &ev);
 
@@ -76,7 +83,8 @@ class GranularityCdf
     /** Fraction of all capabilities with length <= @p size. */
     double fractionBelow(u64 size) const;
 
-    /** Render the CDF as an aligned text table (one row per bucket). */
+    /** Render the CDF as an aligned text table (one row per bucket,
+     *  one column per source, in the orders above). */
     std::string formatTable() const;
 
   private:

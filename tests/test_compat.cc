@@ -94,9 +94,6 @@ TEST(CompatCorpus, TableCoversEveryIdiom)
             total += n;
     }
     EXPECT_EQ(total, corpus().size());
-    std::string rendered = formatTable(table);
-    EXPECT_NE(rendered.find("BSD libraries"), std::string::npos);
-    EXPECT_NE(rendered.find("PP"), std::string::npos);
 }
 
 } // namespace
