@@ -205,21 +205,16 @@ class Report
      *  JsonWriter's 4 significant digits, so a committed report keeps
      *  small host-time deltas.  JSON has no NaN or infinity: null. */
     static void
-    put(obs::JsonWriter &w, double d)
-    {
-        char buf[32];
-        auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), d);
-        w.raw(std::isfinite(d) && ec == std::errc()
-                  ? std::string_view(buf, static_cast<size_t>(end - buf))
-                  : "null");
-    }
-
-    static void
     put(obs::JsonWriter &w, const Value &v)
     {
-        if (const double *d = std::get_if<double>(&v))
-            return put(w, *d);
-        std::visit([&](const auto &x) { w.value(x); }, v);
+        const double *d = std::get_if<double>(&v);
+        if (!d)
+            return std::visit([&](const auto &x) { w.value(x); }, v);
+        char buf[32];
+        auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), *d);
+        w.raw(std::isfinite(*d) && ec == std::errc()
+                  ? std::string_view(buf, static_cast<size_t>(end - buf))
+                  : "null");
     }
 
     static std::string
@@ -292,31 +287,21 @@ class Report
                     rule.c_str());
         for (const Table &t : tables) {
             std::printf("\n%s\n", t.title.c_str());
-            // Text columns are left-aligned, numbers right-aligned; a
-            // negative width is printf's left alignment.
-            std::vector<int> width;
+            std::vector<size_t> width;
             for (const std::string &c : t.columns)
-                width.push_back(static_cast<int>(c.size()));
+                width.push_back(c.size());
             for (const std::vector<Value> &r : t.rows) {
                 for (size_t c = 0; c < width.size() && c < r.size(); ++c)
-                    width[c] = std::max(
-                        width[c], static_cast<int>(text(r[c]).size()));
+                    width[c] = std::max(width[c], text(r[c]).size());
             }
-            if (!t.rows.empty()) {
-                for (size_t c = 0; c < width.size(); ++c) {
-                    if (c < t.rows[0].size() &&
-                        std::holds_alternative<std::string>(t.rows[0][c]))
-                        width[c] = -width[c];
-                }
-            }
-            if (!width.empty() && width.back() < 0)
-                width.back() = 0; // no trailing blanks
             for (size_t c = 0; c < width.size(); ++c)
-                std::printf("  %*s", width[c], t.columns[c].c_str());
+                std::printf("%*s", static_cast<int>(width[c] + 2),
+                            t.columns[c].c_str());
             std::printf("\n");
             for (const std::vector<Value> &r : t.rows) {
                 for (size_t c = 0; c < width.size() && c < r.size(); ++c)
-                    std::printf("  %*s", width[c], text(r[c]).c_str());
+                    std::printf("%*s", static_cast<int>(width[c] + 2),
+                                text(r[c]).c_str());
                 std::printf("\n");
             }
         }

@@ -16,20 +16,6 @@
 using namespace cheri;
 using namespace cheri::apps;
 
-namespace
-{
-
-/** Run @p w exactly as Figure 4 does, on a kernel using @p fmt. */
-WorkloadResult
-runWith(const Workload &w, Abi abi, compress::CapFormat fmt)
-{
-    KernelConfig cfg;
-    cfg.capFormat = fmt;
-    return runWorkload(w, abi, cfg);
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 try {
@@ -45,12 +31,14 @@ try {
             w.name != "auto-basicmath") {
             continue;
         }
-        WorkloadResult mips =
-            runWith(w, Abi::Mips64, compress::CapFormat::Cap128);
-        WorkloadResult c128 =
-            runWith(w, Abi::CheriAbi, compress::CapFormat::Cap128);
-        WorkloadResult c256 =
-            runWith(w, Abi::CheriAbi, compress::CapFormat::Cap256);
+        // Each run boots exactly as Figure 4's does, on a kernel using
+        // the given capability format.
+        auto run = [&](Abi abi, compress::CapFormat fmt) {
+            return runWorkload(w, abi, {.capFormat = fmt});
+        };
+        WorkloadResult mips = run(Abi::Mips64, compress::CapFormat::Cap128);
+        WorkloadResult c128 = run(Abi::CheriAbi, compress::CapFormat::Cap128);
+        WorkloadResult c256 = run(Abi::CheriAbi, compress::CapFormat::Cap256);
         t.row({w.name, overheadPct(mips.cycles, c128.cycles),
                overheadPct(mips.cycles, c256.cycles)});
     }

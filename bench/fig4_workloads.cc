@@ -80,12 +80,12 @@ try {
         // other kernel stays within noise.
         if (w.name == "auto-qsort" || w.name == "network-patricia" ||
             w.name == "spec2006-astar" || w.name == "spec2006-xalancbmk")
-            rep.atLeast(w.name + "_l2_miss_pct", l2, 10.0);
+            rep.require(w.name + "_l2_miss_over_10pct", l2 > 10.0);
         else
             othersMaxAbsCycles = std::max(othersMaxAbsCycles,
                                           std::abs(cycles));
         if (w.name == "security-sha")
-            rep.atMost("security-sha_cycles_pct", cycles, 0.0);
+            rep.require("security-sha_faster", cycles < 0);
         if (cycles > largestCycles) {
             largest = w.name;
             largestCycles = cycles;

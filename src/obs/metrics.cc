@@ -386,4 +386,64 @@ Metrics::toJson() const
     return w.str();
 }
 
+std::string
+Metrics::toCsv() const
+{
+    std::string out = "num,name,abi,ptr_args,calls,errors,"
+                      "cycles_min,cycles_max,cycles_mean\n";
+    for (Abi abi : allAbis) {
+        for (unsigned n = 0; n < numSysNums; ++n) {
+            const SyscallStats &s = sys[abiIndex(abi)][n];
+            if (!s.calls)
+                continue;
+            char buf[256];
+            std::snprintf(
+                buf, sizeof(buf),
+                "%u,%.*s,%.*s,%u,%llu,%llu,%llu,%llu,%.1f\n", n,
+                static_cast<int>(sysNumName(n).size()),
+                sysNumName(n).data(),
+                static_cast<int>(abiName(abi).size()),
+                abiName(abi).data(),
+                static_cast<unsigned>(syscallTable[n].nPtrArgs),
+                static_cast<unsigned long long>(s.calls),
+                static_cast<unsigned long long>(s.errors),
+                static_cast<unsigned long long>(s.cycles.count ? s.cycles.min
+                                                              : 0),
+                static_cast<unsigned long long>(s.cycles.max),
+                s.cycles.mean());
+            out += buf;
+        }
+    }
+    // Second table: per-ABI software-TLB counters (v2 addition).
+    bool any_tlb = false;
+    for (Abi abi : allAbis) {
+        for (u64 v : tlb[abiIndex(abi)])
+            any_tlb = any_tlb || v != 0;
+    }
+    if (any_tlb) {
+        out += "\nabi,tlb_data_hits,tlb_data_misses,tlb_fetch_hits,"
+               "tlb_fetch_misses,tlb_invalidations\n";
+        for (Abi abi : allAbis) {
+            const auto &blk = tlb[abiIndex(abi)];
+            u64 total = 0;
+            for (u64 v : blk)
+                total += v;
+            if (!total)
+                continue;
+            char buf[192];
+            std::snprintf(
+                buf, sizeof(buf), "%.*s,%llu,%llu,%llu,%llu,%llu\n",
+                static_cast<int>(abiName(abi).size()),
+                abiName(abi).data(),
+                static_cast<unsigned long long>(blk[TlbDataHit]),
+                static_cast<unsigned long long>(blk[TlbDataMiss]),
+                static_cast<unsigned long long>(blk[TlbFetchHit]),
+                static_cast<unsigned long long>(blk[TlbFetchMiss]),
+                static_cast<unsigned long long>(blk[TlbInvalidation]));
+            out += buf;
+        }
+    }
+    return out;
+}
+
 } // namespace cheri::obs

@@ -22,8 +22,8 @@
  *    retained from kernels that have since detached.
  *
  * Consumers hold a nullable `Metrics *`; everything costs one branch
- * when disabled.  `toJson()` gives benches and examples a structured
- * emitter to replace ad-hoc printf tables.
+ * when disabled.  `toJson()`/`toCsv()` give benches and examples a
+ * structured emitter to replace ad-hoc printf tables.
  */
 
 #ifndef CHERI_OBS_METRICS_H
@@ -349,6 +349,8 @@ class Metrics : public TraceSink
     /// @{
     /** Full registry as one JSON document (schema in DESIGN.md). */
     std::string toJson() const;
+    /** Per-syscall stats as CSV rows. */
+    std::string toCsv() const;
     /// @}
 
     /** Zero everything the registry owns, retained totals included;

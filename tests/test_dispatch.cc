@@ -142,6 +142,11 @@ TEST_P(Dispatch, EmittersProduceStructuredOutput)
     EXPECT_NE(json.find("cheri.metrics.v9"), std::string::npos);
     EXPECT_NE(json.find("\"name\":\"getpid\""), std::string::npos);
     EXPECT_NE(json.find(obs::abiName(GetParam())), std::string::npos);
+
+    std::string csv = m.toCsv();
+    EXPECT_NE(csv.find("num,name,abi,ptr_args,calls,errors"),
+              std::string::npos);
+    EXPECT_NE(csv.find("getpid"), std::string::npos);
 }
 
 INSTANTIATE_TEST_SUITE_P(Abis, Dispatch,

@@ -15,12 +15,11 @@ set -euo pipefail
 src_dir="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="$src_dir/build-release"
 out="$src_dir/BENCH_18.json"
-benches=(
-    table1_testsuites table2_compat table3_bodiag fig4_workloads
-    fig5_granularity syscall_micro initdb_macro clc_ablation
-    capformat_ablation isa_overhead capmodel_micro revocation_bench
-    vm_micro sched_bench pipe_bench snapshot_bench hardening_bench
-)
+# Every bench/<name>.cc is one bench target of the same name.
+benches=()
+for f in "$src_dir"/bench/*.cc; do
+    benches+=("$(basename "$f" .cc)")
+done
 
 cmake -S "$src_dir" -B "$build_dir" -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build "$build_dir" -j "$(nproc)" --target "${benches[@]}" >/dev/null
